@@ -21,9 +21,8 @@ them statically, at two granularities:
   reshapes, no hoistable allocations in hot loops;
 * **interprocedural dataflow passes** — :mod:`repro.checks.flow` is a
   summary-based taint/escape engine over the same graph, powering the
-  exception-contract verifier (:mod:`repro.checks.contracts`), the
-  golden-purity taint proof (:mod:`repro.checks.purity`), and the
-  serialization schema-drift check (:mod:`repro.checks.schema`).
+  exception-contract verifier (:mod:`repro.checks.contracts`) and the
+  golden-purity taint proof (:mod:`repro.checks.purity`).
 
 Infrastructure: :mod:`repro.checks.cache` (incremental result cache and
 the ``lint_paths`` orchestrator), :mod:`repro.checks.baseline` (staged
@@ -77,7 +76,6 @@ from repro.checks.rules import (
 from repro.checks.contracts import CONTRACT_RULES, ExceptionContractRule
 from repro.checks.flow import BOTTOM, EscapeAnalysis, Fact, ForwardTaintAnalysis, Param
 from repro.checks.purity import PURITY_RULES, GoldenPurityRule
-from repro.checks.schema import SCHEMA_RULES, SchemaDriftRule
 from repro.checks.baseline import (
     apply_baseline,
     baseline_fingerprint,
@@ -120,10 +118,8 @@ __all__ = [
     "EscapeAnalysis",
     "ExceptionContractRule",
     "GoldenPurityRule",
-    "SchemaDriftRule",
     "CONTRACT_RULES",
     "PURITY_RULES",
-    "SCHEMA_RULES",
     # array shape/dtype pass
     "ArrayDtypeClosureRule",
     "ArrayBroadcastRule",

@@ -290,7 +290,6 @@ def project_rules() -> tuple["ProjectRule", ...]:
     from repro.checks.determinism import DETERMINISM_RULES
     from repro.checks.intervals import INTERVAL_RULES
     from repro.checks.purity import PURITY_RULES
-    from repro.checks.schema import SCHEMA_RULES
     from repro.checks.sockets import SOCKET_RULES
 
     return (
@@ -298,7 +297,6 @@ def project_rules() -> tuple["ProjectRule", ...]:
         *INTERVAL_RULES,
         *CONTRACT_RULES,
         *PURITY_RULES,
-        *SCHEMA_RULES,
         *ARRAY_RULES,
         *SOCKET_RULES,
     )

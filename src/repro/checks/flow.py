@@ -2,8 +2,8 @@
 
 The call graph (:mod:`repro.checks.graph`) answers *which code can run
 where*; the passes built on it so far are reachability arguments. The
-contracts PR 6 adds — golden/faulty separation, typed failure taxonomy,
-writer/reader schema agreement — are *flow* properties: they depend on
+contracts — golden/faulty separation and the typed failure taxonomy —
+are *flow* properties: they depend on
 which **values** reach which program points, not merely on which
 functions do. This module provides the shared machinery:
 

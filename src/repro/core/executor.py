@@ -56,8 +56,6 @@ the serial path over the sites that ran; only ``wall_seconds`` differs.
 
 from __future__ import annotations
 
-import json
-import os
 import signal as _signal_module
 import threading
 import time
@@ -68,16 +66,16 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.campaign import Campaign, CampaignResult, ExperimentResult
 from repro.core.chaos import ChaosSpec
+from repro.core.journal import Journal, check_header
 from repro.core.resilience import (
     CampaignExecutionError,
     CampaignInterrupted,
-    CheckpointCorrupt,
     FailureKind,
     FailureLadder,
     FailureRecord,
@@ -89,6 +87,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.core.serialize import (
+    CHECKPOINT_JOURNAL,
     checkpoint_header,
     experiment_from_record,
     experiment_record,
@@ -482,7 +481,7 @@ class _ShardDispatcher:
         plan: TilingPlan,
         geometry: ConvGeometry | None,
         pending: list[tuple[int, int]],
-        stream: IO[str] | None,
+        stream: Journal | None,
     ) -> None:
         self.executor = executor
         self.campaign = campaign
@@ -909,17 +908,10 @@ class ParallelExecutor:
         if self.resume is None:
             return {}, {}
         header, records = read_checkpoint(self.resume)
-        expected = checkpoint_header(campaign)
-        mismatched = [
-            key
-            for key in ("workload", "mesh", "fault_spec", "engine")
-            if header.get(key) != expected[key]
-        ]
-        if mismatched:
-            raise ValueError(
-                f"checkpoint {self.resume} belongs to a different campaign "
-                f"(mismatched {', '.join(mismatched)}); refusing to resume"
-            )
+        check_header(
+            self.resume, header, checkpoint_header(campaign),
+            CHECKPOINT_JOURNAL, "refusing to resume",
+        )
         valid_sites = set(campaign.sites)
         restored: dict[tuple[int, int], ExperimentResult] = {}
         failures: dict[tuple[int, int], FailureRecord] = {}
@@ -957,83 +949,18 @@ class ParallelExecutor:
                 stacklevel=4,
             )
 
-    def _open_checkpoint(self, campaign: Campaign) -> IO[str] | None:
-        """Open the checkpoint stream for appending.
-
-        A new/empty file gets the header line. An existing file must
-        start with a complete, recognizable header line — a torn header
-        (partial first line, the artefact of a crash during file
-        creation) is refused with :class:`CheckpointCorrupt` instead of
-        silently continuing a headerless stream. A torn *trailing* line
-        is healed by terminating it, so appended records start on a fresh
-        line (the torn record itself is skipped, with a warning, by
-        :func:`~repro.core.serialize.read_checkpoint`).
-        """
-        if self.checkpoint is None:
-            return None
-        path = self.checkpoint
-        path.parent.mkdir(parents=True, exist_ok=True)
-        size = path.stat().st_size if path.exists() else 0
-        torn_tail = False
-        if size > 0:
-            with path.open("rb") as probe:
-                first = probe.readline()
-                header: object = None
-                if first.endswith(b"\n"):
-                    try:
-                        header = json.loads(first.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        header = None
-                if (
-                    not isinstance(header, dict)
-                    or header.get("kind") != "campaign-checkpoint"
-                ):
-                    raise CheckpointCorrupt(
-                        f"checkpoint {path} has a torn or unrecognizable "
-                        f"header line; refusing to append to it — move the "
-                        f"file aside (or delete it) and rerun"
-                    )
-                probe.seek(-1, os.SEEK_END)
-                torn_tail = probe.read(1) != b"\n"
-        stream = path.open("a")
-        if size == 0:
-            stream.write(json.dumps(checkpoint_header(campaign)) + "\n")
-            self._sync(stream)
-        elif torn_tail:
-            stream.write("\n")
-            self._sync(stream)
-        return stream
-
     # -- durable record appends ----------------------------------------
-    @staticmethod
-    def _sync(stream: IO[str]) -> None:
-        """Flush through the OS to the disk: checkpoint durability is the
-        whole point, so completed work must survive power loss too."""
-        stream.flush()
-        os.fsync(stream.fileno())
-
     def _record_batch(
-        self, stream: IO[str] | None, experiments: list[ExperimentResult]
+        self, stream: Journal | None, experiments: list[ExperimentResult]
     ) -> None:
-        if stream is None or not experiments:
-            return
-        for experiment in experiments:
-            stream.write(json.dumps(experiment_record(experiment)) + "\n")
-        self._sync(stream)
+        if stream is not None:
+            stream.append(experiment_record(e) for e in experiments)
 
     def _record_failure(
-        self, stream: IO[str] | None, failure: FailureRecord
+        self, stream: Journal | None, failure: FailureRecord
     ) -> None:
-        if stream is None:
-            return
-        stream.write(json.dumps(failure_record(failure)) + "\n")
-        self._sync(stream)
-
-    def _close_checkpoint(self, stream: IO[str]) -> None:
-        try:
-            self._sync(stream)
-        finally:
-            stream.close()
+        if stream is not None:
+            stream.append([failure_record(failure)])
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -1043,7 +970,7 @@ class ParallelExecutor:
         plan: TilingPlan,
         geometry: ConvGeometry | None,
         pending: list[tuple[int, int]],
-        stream: IO[str] | None,
+        stream: Journal | None,
     ) -> tuple[
         dict[tuple[int, int], ExperimentResult],
         dict[tuple[int, int], FailureRecord],
@@ -1104,7 +1031,15 @@ class ParallelExecutor:
                     len(campaign.sites),
                     done=len(completed) + len(failures),
                 )
-            stream = self._open_checkpoint(campaign)
+            # A file another campaign wrote, or one with a torn header, is
+            # refused here with CheckpointCorrupt (see repro.core.journal).
+            stream = (
+                Journal(
+                    self.checkpoint, checkpoint_header(campaign), CHECKPOINT_JOURNAL
+                )
+                if self.checkpoint is not None
+                else None
+            )
             try:
                 if pending:
                     with obs.recorder.span(
@@ -1120,7 +1055,7 @@ class ParallelExecutor:
                 if obs.progress is not None:
                     obs.progress.finish()
                 if stream is not None:
-                    self._close_checkpoint(stream)
+                    stream.close()
         wall_seconds = time.perf_counter() - start
         result = _merged_result(
             campaign, golden, plan, geometry, completed, wall_seconds,

@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.core.fabric.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.core.journal import Journal
 from repro.core.resilience import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -118,7 +119,7 @@ class Coordinator:
         plan: TilingPlan,
         geometry: ConvGeometry | None,
         pending: list[tuple[int, int]],
-        stream: IO[str] | None,
+        stream: Journal | None,
     ) -> None:
         self.executor = executor
         self.campaign = campaign
@@ -752,7 +753,7 @@ class DistributedExecutor(ParallelExecutor):
         plan: TilingPlan,
         geometry: ConvGeometry | None,
         pending: list[tuple[int, int]],
-        stream: IO[str] | None,
+        stream: Journal | None,
     ) -> tuple[
         dict[tuple[int, int], ExperimentResult],
         dict[tuple[int, int], FailureRecord],

@@ -1,18 +1,13 @@
-"""JSON serialisation of campaigns and fault dictionaries.
+"""JSON serialisation of campaigns, checkpoints, wire payloads and specs.
 
-Two consumers motivate this module:
-
-* **Archival** — FI campaigns are expensive at scale; results should be
-  storable and reloadable without re-running (``campaign_to_dict`` /
-  ``save_campaign`` / ``load_campaign``).
-* **Tool hand-off** — the paper's end goal is feeding systolic-array fault
-  models to application-level injectors (TensorFI / LLTFI). A *fault
-  dictionary* (``fault_dictionary``) is that hand-off artefact: one entry
-  per fault site with its pattern class and corruption support, in a plain
-  JSON schema any tool can parse.
-
-Patterns are stored as coordinate lists (sparse) because SSF corruption is
-sparse in exactly the structured way the taxonomy describes.
+Campaign archives (``save_campaign``) make expensive FI campaigns
+reloadable; a *fault dictionary* (``fault_dictionary``) hands one entry per
+fault site to application-level injectors (TensorFI / LLTFI), the paper's
+end goal. Every persisted record is declared once below as a layout
+(:mod:`repro.core.records`) from which its encoder and strict decoder both
+derive; the crash-safe JSONL files are journals (:mod:`repro.core.journal`).
+Patterns are stored sparsely, because SSF corruption is sparse in exactly
+the structured way the taxonomy describes.
 """
 
 from __future__ import annotations
@@ -21,9 +16,8 @@ import base64
 import json
 import pickle
 import struct
-import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal, get_args
 
 import numpy as np
 
@@ -38,6 +32,9 @@ from repro.core.campaign import (
 )
 from repro.core.classifier import Classification, PatternClass
 from repro.core.fault_patterns import FaultPattern
+from repro.core.journal import JournalKind, read_journal
+from repro.core.records import SCHEMA_VERSION, SpecError, Version, decode
+from repro.core.records import decode_record, encode, key, layout
 from repro.core.resilience import FailureKind, FailureRecord
 from repro.faults.sites import FaultSite
 from repro.obs.metrics import MetricsRegistry
@@ -46,84 +43,103 @@ from repro.ops.tiling import TilingPlan
 from repro.systolic import Dataflow, MeshConfig
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "campaign_to_dict",
-    "save_campaign",
-    "load_campaign",
-    "fault_dictionary",
-    "save_fault_dictionary",
-    "metrics_to_dict",
-    "metrics_from_dict",
-    "save_metrics",
-    "load_metrics",
-    "checkpoint_header",
-    "experiment_record",
-    "experiment_from_record",
-    "failure_record",
-    "failure_from_record",
-    "is_failure_record",
+    "SCHEMA_VERSION", "SpecError", "MAX_FRAME_BYTES", "JOB_STATES",
+    "CHECKPOINT_JOURNAL", "REGISTRY_JOURNAL",
+    "campaign_to_dict", "save_campaign", "load_campaign",
+    "fault_dictionary", "save_fault_dictionary",
+    "metrics_to_dict", "metrics_from_dict", "save_metrics", "load_metrics",
+    "checkpoint_header", "experiment_record", "experiment_from_record",
+    "failure_record", "failure_from_record", "is_failure_record",
     "read_checkpoint",
-    "MAX_FRAME_BYTES",
-    "encode_frame",
-    "decode_frame",
-    "lease_record",
-    "lease_from_record",
-    "fabric_setup_record",
-    "fabric_setup_from_record",
-    "SpecError",
-    "encode_campaign_spec",
-    "decode_campaign_spec",
-    "JOB_STATES",
-    "job_registry_header",
-    "job_record",
-    "job_from_record",
-    "read_job_registry",
-    "campaign_result_record",
-    "campaign_result_from_record",
+    "encode_frame", "decode_frame", "lease_record", "lease_from_record",
+    "fabric_setup_record", "fabric_setup_from_record",
+    "encode_campaign_spec", "decode_campaign_spec",
+    "job_registry_header", "job_record", "job_from_record", "read_job_registry",
+    "campaign_result_record", "campaign_result_from_record",
 ]
 
-#: Schema version written into every artefact.
-SCHEMA_VERSION = 1
+
+# -- Layouts shared by several records ---------------------------------
+
+
+@layout
+class _Mesh:
+    rows: int = key(minimum=1)
+    cols: int = key(minimum=1)
+
+
+@layout
+class _Coords:
+    row: int
+    col: int
+
+
+@layout
+class _FailureEvidence:
+    kind: FailureKind
+    attempts: int
+    error: str
+
+
+@layout
+class _Quarantine:
+    kind: Literal["quarantine"] = "quarantine"
+    site: _Coords
+    failure: _FailureEvidence
+
+
+def _identity(run: Campaign | CampaignResult) -> dict[str, Any]:
+    """The header fields naming a campaign — shared by the checkpoint
+    header, the result artefact, the archive and the fault dictionary."""
+    return {
+        "workload": run.workload.describe(),
+        "operation": str(run.workload.operation),
+        "mesh": _Mesh(rows=run.mesh.rows, cols=run.mesh.cols),
+        "fault_spec": run.fault_spec,
+    }
+
+
+def _quarantine(failure: FailureRecord) -> _Quarantine:
+    return _Quarantine(
+        site=_Coords(row=failure.row, col=failure.col),
+        failure=_FailureEvidence(
+            kind=failure.kind, attempts=failure.attempts, error=failure.error
+        ),
+    )
+
+
+def _failure(record: _Quarantine) -> FailureRecord:
+    return FailureRecord(
+        row=record.site.row, col=record.site.col, **vars(record.failure)
+    )
+
+
+# -- Archival artefact and fault dictionary ----------------------------
 
 
 def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
-    """Serialise a campaign result to JSON-compatible primitives.
-
-    The golden output itself is summarised (shape only) — experiments carry
-    the corruption coordinates, which is all the pattern machinery needs.
-    An observability-armed run additionally lands its telemetry summary
-    under ``"telemetry"``; plain runs omit the key entirely, so archived
-    artefacts of the two differ only by that optional section.
-    """
+    """Serialise a campaign result to JSON-compatible primitives: the
+    golden output by shape only, each experiment with its corrupted
+    coordinates, and ``"telemetry"`` only for an observability-armed run."""
+    identity, plan = _identity(result), result.plan
     data: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "workload": result.workload.describe(),
-        "operation": str(result.workload.operation),
-        "fault_spec": {
-            "signal": result.fault_spec.signal,
-            "bit": result.fault_spec.bit,
-            "stuck_value": result.fault_spec.stuck_value,
-        },
-        "mesh": {"rows": result.mesh.rows, "cols": result.mesh.cols},
-        "dataflow": str(result.plan.dataflow),
-        "gemm_shape": [result.plan.m, result.plan.k, result.plan.n],
-        "tile_shape": [result.plan.tile_m, result.plan.tile_k, result.plan.tile_n],
+        "workload": identity["workload"],
+        "operation": identity["operation"],
+        "fault_spec": encode(identity["fault_spec"], FaultSpec),
+        "mesh": encode(identity["mesh"]),
+        "dataflow": str(plan.dataflow),
+        "gemm_shape": [plan.m, plan.k, plan.n],
+        "tile_shape": [plan.tile_m, plan.tile_k, plan.tile_n],
         "output_shape": list(result.golden.shape),
         "wall_seconds": result.wall_seconds,
         "failures": [failure_record(f) for f in result.failures],
         "experiments": [
             {
-                "site": {
-                    "row": e.site.row,
-                    "col": e.site.col,
-                    "signal": e.site.signal,
-                    "bit": e.site.bit,
-                },
+                "site": encode(e.site, FaultSite),
                 "pattern_class": e.pattern_class.value,
                 "num_corrupted": e.num_corrupted,
                 "max_abs_deviation": e.max_abs_deviation,
-                # Lists, not tuples: the artefact should round-trip through
-                # JSON unchanged.
                 "corrupted_cells": (
                     [list(cell) for cell in e.pattern.corrupted_cells()]
                     if e.pattern is not None
@@ -146,13 +162,8 @@ def save_campaign(result: CampaignResult, path: str | Path) -> Path:
 
 
 def load_campaign(path: str | Path) -> dict[str, Any]:
-    """Load a previously saved campaign artefact (as plain dicts).
-
-    Raises
-    ------
-    ValueError
-        If the artefact's schema version is unknown.
-    """
+    """Load a saved campaign artefact as plain dicts; raises
+    :class:`ValueError` if its schema version is unknown."""
     data = json.loads(Path(path).read_text())
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -164,16 +175,11 @@ def load_campaign(path: str | Path) -> dict[str, Any]:
 
 
 def fault_dictionary(result: CampaignResult) -> dict[str, Any]:
-    """Build an LLTFI-style fault dictionary from a campaign.
-
-    One entry per fault site, keyed ``"row,col"``, carrying the pattern
-    class and — for GEMM outputs — the corrupted coordinates. Downstream
-    injectors replay an entry by perturbing exactly those coordinates of
-    the operation's output tensor.
-    """
+    """Build an LLTFI-style fault dictionary from a campaign: one entry
+    per fault site, keyed ``"row,col"``, with the pattern class and the
+    corrupted coordinates a downstream injector perturbs to replay it."""
     entries: dict[str, Any] = {}
     for experiment in result.experiments:
-        key = f"{experiment.site.row},{experiment.site.col}"
         entry: dict[str, Any] = {
             "pattern_class": experiment.pattern_class.value,
             "num_corrupted": experiment.num_corrupted,
@@ -184,15 +190,16 @@ def fault_dictionary(result: CampaignResult) -> dict[str, Any]:
             ]
             if experiment.pattern.is_conv:
                 entry["channels"] = list(experiment.pattern.corrupted_channels())
-        entries[key] = entry
+        entries[f"{experiment.site.row},{experiment.site.col}"] = entry
+    identity = _identity(result)
     return {
         "schema_version": SCHEMA_VERSION,
         "hardware": {
-            "mesh_rows": result.mesh.rows,
-            "mesh_cols": result.mesh.cols,
+            "mesh_rows": identity["mesh"].rows,
+            "mesh_cols": identity["mesh"].cols,
             "dataflow": str(result.plan.dataflow),
         },
-        "operation": result.workload.describe(),
+        "operation": identity["workload"],
         "fault_model": result.fault_spec.describe(),
         "sites": entries,
     }
@@ -205,44 +212,28 @@ def save_fault_dictionary(result: CampaignResult, path: str | Path) -> Path:
     return path
 
 
-# ----------------------------------------------------------------------
-# Metrics snapshot codec (see repro.obs.metrics)
-# ----------------------------------------------------------------------
+# -- Metrics snapshot (see repro.obs.metrics) --------------------------
+
+
+@layout
+class _MetricsSnapshot:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["metrics-snapshot"] = "metrics-snapshot"
+    metrics: list[dict]
 
 
 def metrics_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
-    """Serialise a metrics registry as a versioned JSON snapshot.
-
-    The instrument dump itself comes from
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; this adds the
-    artefact envelope (schema version, kind tag) every other codec in
-    this module carries, so tooling can sniff the file type.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "metrics-snapshot",
-        "metrics": registry.snapshot(),
-    }
+    """Serialise a metrics registry as a versioned JSON snapshot (the
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dump inside the
+    envelope every artefact of this module carries)."""
+    return encode(_MetricsSnapshot(metrics=registry.snapshot()))
 
 
 def metrics_from_dict(data: dict[str, Any]) -> MetricsRegistry:
-    """Rebuild a :class:`~repro.obs.metrics.MetricsRegistry` snapshot.
-
-    Raises
-    ------
-    ValueError
-        If the envelope is not a metrics snapshot or carries an unknown
-        schema version.
-    """
-    if data.get("kind") != "metrics-snapshot":
-        raise ValueError("not a metrics snapshot artefact")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported metrics schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    return MetricsRegistry.from_snapshot(data["metrics"])
+    """Rebuild a :class:`~repro.obs.metrics.MetricsRegistry` snapshot;
+    raises :class:`ValueError` for another artefact or schema version."""
+    snapshot = decode_record(_MetricsSnapshot, data, "metrics snapshot artefact")
+    return MetricsRegistry.from_snapshot(snapshot.metrics)
 
 
 def save_metrics(registry: MetricsRegistry, path: str | Path) -> Path:
@@ -257,48 +248,48 @@ def load_metrics(path: str | Path) -> MetricsRegistry:
     return metrics_from_dict(json.loads(Path(path).read_text()))
 
 
-# ----------------------------------------------------------------------
-# Checkpoint record codec (append-only JSONL, one experiment per line)
-# ----------------------------------------------------------------------
+# -- Checkpoint records (a journal) ----------------------------------
 #
-# A checkpoint file is a JSONL stream: the first line is a header
-# identifying the campaign (so a resume can refuse a mismatched file),
-# every following line is one completed experiment. Records are written
-# in *completion* order — which is nondeterministic under parallel
-# execution — and carry the fault site, so the executor can always merge
-# them back into canonical site order. The corruption pattern is stored
-# sparsely (corrupted coordinates plus their signed deviations); the full
-# mask/deviation arrays are rebuilt against the golden output's shape on
-# load, which keeps checkpoints small for exactly the reason the paper's
-# taxonomy exists: SSF corruption is structured and sparse.
+# Records land in completion order and carry their fault site, so the
+# executor merges them back into canonical site order.
+
+
+@layout
+class _CheckpointHeader:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["campaign-checkpoint"] = "campaign-checkpoint"
+    workload: str
+    operation: str
+    mesh: _Mesh
+    fault_spec: FaultSpec
+    engine: str
+    num_sites: int
+
+
+@layout
+class _Experiment:
+    site: FaultSite
+    classification: Classification
+    num_corrupted: int
+    max_abs_deviation: int
+    #: ``[*coords, deviation]`` per corrupted element. The bulky field: a
+    #: bare ``list``, so its elements go unchecked to the densify loop.
+    cells: list | None
 
 
 def checkpoint_header(campaign: Campaign) -> dict[str, Any]:
     """The identifying first line of a campaign checkpoint stream."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "campaign-checkpoint",
-        "workload": campaign.workload.describe(),
-        "operation": str(campaign.workload.operation),
-        "mesh": {"rows": campaign.mesh.rows, "cols": campaign.mesh.cols},
-        "fault_spec": {
-            "signal": campaign.fault_spec.signal,
-            "bit": campaign.fault_spec.bit,
-            "stuck_value": campaign.fault_spec.stuck_value,
-        },
-        "engine": campaign.engine_kind,
-        "num_sites": len(campaign.sites),
-    }
+    return encode(_CheckpointHeader(
+        **_identity(campaign),
+        engine=campaign.engine_kind,
+        num_sites=len(campaign.sites),
+    ))
 
 
 def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
-    """Serialise one experiment as a JSON-compatible checkpoint record.
-
-    The classification evidence is stored verbatim (not re-derived on
-    load) so that a resumed campaign is field-for-field identical to an
-    uninterrupted one even when patterns were not kept.
-    """
-    classification = experiment.classification
+    """Serialise one experiment as a checkpoint record. The classification
+    evidence is stored verbatim, so a resumed campaign is field-for-field
+    identical to an uninterrupted one even when patterns were not kept."""
     cells: list[list[int]] | None = None
     if experiment.pattern is not None:
         pattern = experiment.pattern
@@ -306,23 +297,13 @@ def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
             [*(int(c) for c in coords), int(pattern.deviation[tuple(coords)])]
             for coords in np.argwhere(pattern.mask)
         ]
-    return {
-        "site": {
-            "row": experiment.site.row,
-            "col": experiment.site.col,
-            "signal": experiment.site.signal,
-            "bit": experiment.site.bit,
-        },
-        "classification": {
-            "pattern_class": classification.pattern_class.value,
-            "corrupted_tiles": [list(t) for t in classification.corrupted_tiles],
-            "local_cells": [list(c) for c in classification.local_cells],
-            "corrupted_channels": list(classification.corrupted_channels),
-        },
-        "num_corrupted": experiment.num_corrupted,
-        "max_abs_deviation": experiment.max_abs_deviation,
-        "cells": cells,
-    }
+    return encode(_Experiment(
+        site=experiment.site,
+        classification=experiment.classification,
+        num_corrupted=experiment.num_corrupted,
+        max_abs_deviation=experiment.max_abs_deviation,
+        cells=cells,
+    ))
 
 
 def experiment_from_record(
@@ -333,84 +314,41 @@ def experiment_from_record(
 ) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from a checkpoint record.
 
-    Parameters
-    ----------
-    shape:
-        Output-tensor shape of the campaign's golden run; required to
-        densify the sparse cell list back into mask/deviation arrays.
-        When ``None`` (or the record carries no cells) the pattern is
-        restored as ``None``, exactly as a ``keep_patterns=False`` run
-        would have produced.
-    plan, geometry:
-        The campaign's tiling plan and conv geometry, reattached to the
-        rebuilt pattern.
+    The sparse cells are densified against ``shape`` (the golden output's)
+    with ``plan`` and ``geometry`` reattached; without a shape the pattern
+    is ``None``, as a ``keep_patterns=False`` run produces.
+
+    Raises :class:`ValueError` if the record does not match the experiment
+    layout.
     """
-    site_fields = record["site"]
-    site = FaultSite(
-        row=site_fields["row"],
-        col=site_fields["col"],
-        signal=site_fields["signal"],
-        bit=site_fields["bit"],
-    )
-    evidence = record["classification"]
-    classification = Classification(
-        pattern_class=PatternClass(evidence["pattern_class"]),
-        corrupted_tiles=tuple(tuple(t) for t in evidence["corrupted_tiles"]),
-        local_cells=tuple(tuple(c) for c in evidence["local_cells"]),
-        corrupted_channels=tuple(evidence["corrupted_channels"]),
-    )
+    parsed = decode(_Experiment, record)
     pattern: FaultPattern | None = None
-    cells = record.get("cells")
-    if cells is not None and shape is not None:
+    if parsed.cells is not None and shape is not None:
         deviation = np.zeros(shape, dtype=np.int64)
-        for entry in cells:
+        for entry in parsed.cells:
             *coords, value = entry
             deviation[tuple(coords)] = value
         pattern = FaultPattern(
-            mask=deviation != 0,
-            deviation=deviation,
-            plan=plan,
-            geometry=geometry,
+            mask=deviation != 0, deviation=deviation, plan=plan, geometry=geometry
         )
     return ExperimentResult(
-        site=site,
-        classification=classification,
-        num_corrupted=record["num_corrupted"],
-        max_abs_deviation=record["max_abs_deviation"],
+        site=parsed.site,
+        classification=parsed.classification,
+        num_corrupted=parsed.num_corrupted,
+        max_abs_deviation=parsed.max_abs_deviation,
         pattern=pattern,
     )
 
 
 def failure_record(failure: FailureRecord) -> dict[str, Any]:
-    """Serialise a quarantined site as a JSON-compatible checkpoint line.
-
-    Distinguished from experiment records by ``"kind": "quarantine"``
-    (experiment records have no ``kind`` key); it still carries ``site``
-    so checkpoint readers treat it as a first-class record, and a resume
-    restores the quarantine instead of re-running the poison site.
-    """
-    return {
-        "kind": "quarantine",
-        "site": {"row": failure.row, "col": failure.col},
-        "failure": {
-            "kind": failure.kind.value,
-            "attempts": failure.attempts,
-            "error": failure.error,
-        },
-    }
+    """Serialise a quarantined site as a checkpoint line (``"kind":
+    "quarantine"``), so a resume restores it instead of re-running it."""
+    return encode(_quarantine(failure))
 
 
 def failure_from_record(record: dict[str, Any]) -> FailureRecord:
     """Rebuild a :class:`FailureRecord` from a quarantine checkpoint line."""
-    site = record["site"]
-    evidence = record["failure"]
-    return FailureRecord(
-        row=site["row"],
-        col=site["col"],
-        kind=FailureKind(evidence["kind"]),
-        attempts=evidence["attempts"],
-        error=evidence["error"],
-    )
+    return _failure(decode_record(_Quarantine, record, "quarantine record"))
 
 
 def is_failure_record(record: dict[str, Any]) -> bool:
@@ -418,35 +356,45 @@ def is_failure_record(record: dict[str, Any]) -> bool:
     return record.get("kind") == "quarantine"
 
 
-# ----------------------------------------------------------------------
-# Fabric wire codecs (length-prefixed framed JSON; see repro.core.fabric)
-# ----------------------------------------------------------------------
-#
-# The distributed campaign fabric speaks frames: a 4-byte big-endian
-# payload length followed by one UTF-8 JSON object with a mandatory
-# ``"type"`` key. Results cross the wire as the *same* experiment
-# records the checkpoint stream uses (``experiment_record``), so wire
-# fidelity is pinned by the exact resume tests that pin checkpoint
-# fidelity — one codec, two transports.
+def _checkpoint_line(record: Any) -> dict[str, Any]:
+    if not isinstance(record, dict) or "site" not in record:
+        raise ValueError("record is not an experiment object")
+    return record
 
-#: Upper bound on one frame's payload. Generous — a batched shard result
-#: for a large mesh is a few MB of sparse cells — but finite, so a
-#: corrupt or malicious length prefix cannot make a peer allocate
-#: unboundedly.
+
+#: The campaign checkpoint journal: experiment and quarantine lines.
+CHECKPOINT_JOURNAL = JournalKind(
+    label="checkpoint",
+    owner="campaign",
+    header=_CheckpointHeader,
+    check_record=_checkpoint_line,
+    skip_note="; the site will be re-executed",
+)
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Read a checkpoint stream: ``(header, experiment records)`` (see
+    :func:`~repro.core.journal.read_journal`)."""
+    return read_journal(path, CHECKPOINT_JOURNAL)
+
+
+# -- Fabric wire codecs (see repro.core.fabric) -----------------------
+#
+# A frame is a 4-byte big-endian length, then one JSON object with a
+# ``"type"`` key. Results travel as checkpoint experiment records.
+
+#: Upper bound on one frame's payload: generous, but finite so a corrupt
+#: length prefix cannot make a peer allocate unboundedly.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: The 4-byte big-endian unsigned length prefix of every frame.
 _FRAME_HEADER = struct.Struct(">I")
 
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """Encode one fabric message as a length-prefixed JSON frame.
 
-    Raises
-    ------
-    ValueError
-        If ``message`` lacks a ``"type"`` key or encodes past
-        :data:`MAX_FRAME_BYTES`.
+    Raises :class:`ValueError` if ``message`` lacks a ``"type"`` key or
+    encodes past :data:`MAX_FRAME_BYTES`.
     """
     if "type" not in message:
         raise ValueError("fabric messages must carry a 'type' key")
@@ -462,10 +410,8 @@ def encode_frame(message: dict[str, Any]) -> bytes:
 def decode_frame(payload: bytes) -> dict[str, Any]:
     """Decode one frame *payload* (the length prefix already consumed).
 
-    Raises
-    ------
-    ValueError
-        If the payload is not a JSON object with a ``"type"`` key.
+    Raises :class:`ValueError` if the payload is not a JSON object with a
+    ``"type"`` key.
     """
     try:
         message = json.loads(payload.decode("utf-8"))
@@ -476,31 +422,38 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     return message
 
 
+@layout
+class _Lease:
+    kind: Literal["lease"] = "lease"
+    shard_id: int
+    worker_id: int
+    deadline: float
+    granted_at: float
+    renewals: int
+
+
 def lease_record(lease) -> dict[str, Any]:
-    """Serialise one shard lease (:class:`repro.core.fabric.lease.Lease`)
-    as a JSON-compatible record — the coordinator's status surface and
-    the lease-table snapshot tests speak this."""
-    return {
-        "kind": "lease",
-        "shard_id": lease.shard_id,
-        "worker_id": lease.worker_id,
-        "deadline": lease.deadline,
-        "granted_at": lease.granted_at,
-        "renewals": lease.renewals,
-    }
+    """Serialise one shard lease (:class:`repro.core.fabric.lease.Lease`),
+    the coordinator's status surface."""
+    return encode(_Lease(**vars(lease)))
 
 
 def lease_from_record(record: dict[str, Any]):
     """Rebuild a :class:`repro.core.fabric.lease.Lease` from its record."""
     from repro.core.fabric.lease import Lease
 
-    return Lease(
-        shard_id=record["shard_id"],
-        worker_id=record["worker_id"],
-        deadline=record["deadline"],
-        granted_at=record["granted_at"],
-        renewals=record["renewals"],
-    )
+    fields = vars(decode_record(_Lease, record, "lease record"))
+    return Lease(**{name: fields[name] for name in fields if name != "kind"})
+
+
+@layout
+class _FabricSetup:
+    kind: Literal["fabric-setup"] = "fabric-setup"
+    schema_version: Version = SCHEMA_VERSION
+    campaign: str
+    chaos: str | None
+    trace: bool
+    shard_timeout: float | None
 
 
 def _pickle_b64(obj: Any) -> str:
@@ -517,485 +470,213 @@ def fabric_setup_record(
     trace: bool = False,
     shard_timeout: float | None = None,
 ) -> dict[str, Any]:
-    """The coordinator's ``welcome`` payload: everything a joining worker
-    needs to run shards — campaign spec, chaos schedule, trace flag,
-    watchdog deadline.
-
-    The campaign and chaos specs travel as base64 pickle: they are the
-    exact objects the process-pool initializer already ships to local
-    workers, and the fabric assumes the same trust domain as
-    :mod:`multiprocessing` (run workers only against coordinators you
-    trust).
-    """
-    return {
-        "kind": "fabric-setup",
-        "schema_version": SCHEMA_VERSION,
-        "campaign": _pickle_b64(campaign),
-        "chaos": _pickle_b64(chaos) if chaos is not None else None,
-        "trace": bool(trace),
-        "shard_timeout": shard_timeout,
-    }
+    """The coordinator's ``welcome`` payload for a joining worker. The
+    campaign and chaos specs travel as base64 pickle, so the fabric assumes
+    the trust domain of :mod:`multiprocessing`."""
+    return encode(_FabricSetup(
+        campaign=_pickle_b64(campaign),
+        chaos=_pickle_b64(chaos) if chaos is not None else None,
+        trace=bool(trace),
+        shard_timeout=shard_timeout,
+    ))
 
 
 def fabric_setup_from_record(
     record: dict[str, Any],
 ) -> tuple[Campaign, Any, bool, float | None]:
-    """Decode a ``welcome`` setup payload back into
-    ``(campaign, chaos, trace, shard_timeout)``.
-
-    Raises
-    ------
-    ValueError
-        If the record is not a fabric setup or its schema version is
-        unknown.
-    """
-    if record.get("kind") != "fabric-setup":
-        raise ValueError("not a fabric setup record")
-    version = record.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fabric setup schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    campaign = _unpickle_b64(record["campaign"])
-    raw_chaos = record["chaos"]
-    chaos = _unpickle_b64(raw_chaos) if raw_chaos is not None else None
-    return campaign, chaos, record["trace"], record["shard_timeout"]
+    """Decode a ``welcome`` payload into ``(campaign, chaos, trace,
+    shard_timeout)``; raises :class:`ValueError` if it is not one."""
+    setup = decode_record(_FabricSetup, record, "fabric setup record")
+    chaos = _unpickle_b64(setup.chaos) if setup.chaos is not None else None
+    return _unpickle_b64(setup.campaign), chaos, setup.trace, setup.shard_timeout
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read a checkpoint stream: ``(header, experiment records)``.
-
-    A torn or otherwise corrupt record line — the expected artefact of a
-    campaign killed mid-write — is skipped with a :class:`RuntimeWarning`
-    rather than raised, so a resume can always make progress from the
-    records that did land. A corrupt *header* is unrecoverable (nothing
-    can be validated against it) and raises.
-
-    Raises
-    ------
-    FileNotFoundError
-        If ``path`` does not exist.
-    ValueError
-        If the file is empty, the header line is not valid JSON, or the
-        header's schema version is unknown.
-    """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    stripped = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not stripped:
-        raise ValueError(f"checkpoint {path} is empty")
-    header_lineno, header_line = stripped[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"checkpoint {path} has a corrupt header line: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("kind") != "campaign-checkpoint":
-        raise ValueError(f"{path} is not a campaign checkpoint stream")
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    records: list[dict[str, Any]] = []
-    for lineno, line in stripped[1:]:
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict) or "site" not in record:
-                raise ValueError("record is not an experiment object")
-        except (json.JSONDecodeError, ValueError) as exc:
-            warnings.warn(
-                f"skipping corrupt checkpoint record at {path}:{lineno} "
-                f"({exc}); the site will be re-executed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        records.append(record)
-    return header, records
-
-
-# ----------------------------------------------------------------------
-# Campaign spec codec (the service's POST /campaigns request body)
-# ----------------------------------------------------------------------
+# -- Campaign spec (the service's POST /campaigns request body) --------
 #
-# A *spec* is the declarative, JSON-native description of a campaign plus
-# the executor that should run it — what a CLI invocation encodes in
-# flags, flattened into one typed document. The decoder is strict: every
-# unknown field, wrong type, or out-of-range value raises ``SpecError``
-# carrying the dotted path of the offending field, so an HTTP 400 can
-# point the caller at exactly the broken key instead of echoing a Python
-# traceback.
+# A campaign plus the executor to run it — what CLI flags encode. Every
+# error names its field's dotted path, so an HTTP 400 points at the key.
 
 
-class SpecError(ValueError):
-    """A campaign spec failed validation at ``path``."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
-
-
-_DATAFLOW_BY_VALUE = {d.value: d for d in Dataflow}
-_FILL_BY_VALUE = {f.value: f for f in FillKind}
-_ENGINES = ("functional", "cycle", "analytic")
-_EXECUTOR_KINDS = ("serial", "parallel", "fabric")
-
-#: Terminal and non-terminal job lifecycle states (see repro.service.jobs).
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+@layout
+class _GemmSpec:
+    op: Literal["gemm"]
+    m: int = key(minimum=1)
+    k: int = key(minimum=1)
+    n: int = key(minimum=1)
+    dataflow: Dataflow = Dataflow.WEIGHT_STATIONARY
+    fill: FillKind = FillKind.ONES
+    seed: int = key(0, minimum=0)
 
 
-def _spec_mapping(value: Any, path: str) -> dict[str, Any]:
-    if not isinstance(value, dict):
-        raise SpecError(path, f"expected an object, got {type(value).__name__}")
-    return value
+#: The ``ConvWorkload`` fields a spec's ``kernel`` list carries, in order.
+_KERNEL = ("kernel_rows", "kernel_cols", "in_channels", "out_channels")
 
 
-def _spec_unknown(data: dict[str, Any], path: str, allowed: frozenset[str]) -> None:
-    for key in data:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
-            raise SpecError(where, "unknown field")
+@layout
+class _ConvSpec:
+    op: Literal["conv"]
+    input_size: int = key(minimum=1)
+    #: The paper's ``[R, S, C, K]``.
+    kernel: tuple[int, int, int, int] = key(minimum=1)
+    batch: int = key(1, minimum=1)
+    stride: int = key(1, minimum=1)
+    padding: int = key(0, minimum=0)
+    dataflow: Dataflow = Dataflow.WEIGHT_STATIONARY
+    fill: FillKind = FillKind.ONES
+    seed: int = key(0, minimum=0)
 
 
-def _spec_int(
-    data: dict[str, Any],
-    path: str,
-    field: str,
-    default: Any = ...,
-    minimum: int | None = None,
-) -> int:
-    if field not in data:
-        if default is ...:
-            raise SpecError(f"{path}.{field}" if path else field, "required field")
-        return default
-    value = data[field]
-    where = f"{path}.{field}" if path else field
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(where, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise SpecError(where, f"must be >= {minimum}, got {value}")
-    return value
+@layout
+class _FaultSpecDoc:
+    signal: str = FaultSpec.signal
+    bit: int = key(FaultSpec.bit, minimum=0)
+    stuck: int = 1
 
 
-def _spec_float(
-    data: dict[str, Any],
-    path: str,
-    field: str,
-    default: Any = ...,
-    positive: bool = False,
-) -> float:
-    if field not in data:
-        if default is ...:
-            raise SpecError(f"{path}.{field}" if path else field, "required field")
-        return default
-    value = data[field]
-    where = f"{path}.{field}" if path else field
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(where, f"expected a number, got {type(value).__name__}")
-    if positive and not value > 0:
-        raise SpecError(where, f"must be > 0, got {value}")
-    return float(value)
+@layout
+class _SerialSpec:
+    kind: Literal["serial"] = "serial"
 
 
-def _spec_choice(
-    data: dict[str, Any],
-    path: str,
-    field: str,
-    choices,
-    default: Any = ...,
-) -> str:
-    if field not in data:
-        if default is ...:
-            raise SpecError(f"{path}.{field}" if path else field, "required field")
-        return default
-    value = data[field]
-    where = f"{path}.{field}" if path else field
-    if value not in choices:
-        raise SpecError(
-            where, f"must be one of {sorted(choices)}, got {value!r}"
-        )
-    return value
+@layout
+class _ParallelSpec:
+    kind: Literal["parallel"] = "parallel"
+    jobs: int = key(2, minimum=1)
 
 
-def _decode_workload(data: dict[str, Any]) -> GemmWorkload | ConvWorkload:
-    workload = _spec_mapping(data, "workload")
-    op = _spec_choice(workload, "workload", "op", ("gemm", "conv"))
-    dataflow = _DATAFLOW_BY_VALUE[
-        _spec_choice(workload, "workload", "dataflow", _DATAFLOW_BY_VALUE, "WS")
-    ]
-    fill = _FILL_BY_VALUE[
-        _spec_choice(workload, "workload", "fill", _FILL_BY_VALUE, "ones")
-    ]
-    seed = _spec_int(workload, "workload", "seed", 0, minimum=0)
-    if op == "gemm":
-        _spec_unknown(
-            workload,
-            "workload",
-            frozenset({"op", "m", "k", "n", "dataflow", "fill", "seed"}),
-        )
-        return GemmWorkload(
-            m=_spec_int(workload, "workload", "m", minimum=1),
-            k=_spec_int(workload, "workload", "k", minimum=1),
-            n=_spec_int(workload, "workload", "n", minimum=1),
-            dataflow=dataflow,
-            fill=fill,
-            seed=seed,
-        )
-    _spec_unknown(
-        workload,
-        "workload",
-        frozenset({
-            "op", "input_size", "kernel", "dataflow", "batch",
-            "stride", "padding", "fill", "seed",
-        }),
-    )
-    kernel = workload.get("kernel")
-    if (
-        not isinstance(kernel, list)
-        or len(kernel) != 4
-        or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in kernel)
-    ):
-        raise SpecError(
-            "workload.kernel",
-            "expected the paper's [R, S, C, K] list of positive integers",
-        )
-    r, s, c, k = kernel
-    return ConvWorkload(
-        input_size=_spec_int(workload, "workload", "input_size", minimum=1),
-        kernel_rows=r,
-        kernel_cols=s,
-        in_channels=c,
-        out_channels=k,
-        dataflow=dataflow,
-        batch=_spec_int(workload, "workload", "batch", 1, minimum=1),
-        stride=_spec_int(workload, "workload", "stride", 1, minimum=1),
-        padding=_spec_int(workload, "workload", "padding", 0, minimum=0),
-        fill=fill,
-        seed=seed,
-    )
+@layout
+class _FabricSpec:
+    kind: Literal["fabric"] = "fabric"
+    host: str = "127.0.0.1"
+    port: int = key(0, minimum=0)
+    workers: int = key(2, minimum=1)
+    lease_seconds: float = key(10.0, positive=True)
+    heartbeat_interval: float = key(2.0, positive=True)
+    join_timeout: float = key(60.0, positive=True)
 
 
-def _decode_executor(data: Any) -> dict[str, Any]:
-    executor = _spec_mapping(data, "executor")
-    kind = _spec_choice(executor, "executor", "kind", _EXECUTOR_KINDS, "serial")
-    if kind == "serial":
-        _spec_unknown(executor, "executor", frozenset({"kind"}))
-        return {"kind": "serial"}
-    if kind == "parallel":
-        _spec_unknown(executor, "executor", frozenset({"kind", "jobs"}))
-        return {
-            "kind": "parallel",
-            "jobs": _spec_int(executor, "executor", "jobs", 2, minimum=1),
-        }
-    _spec_unknown(
-        executor,
-        "executor",
-        frozenset({
-            "kind", "host", "port", "workers", "lease_seconds",
-            "heartbeat_interval", "join_timeout",
-        }),
-    )
-    port = _spec_int(executor, "executor", "port", 0, minimum=0)
-    if port > 65535:
-        raise SpecError("executor.port", f"must be <= 65535, got {port}")
-    lease = _spec_float(executor, "executor", "lease_seconds", 10.0, positive=True)
-    heartbeat = _spec_float(
-        executor, "executor", "heartbeat_interval", 2.0, positive=True
-    )
-    if heartbeat >= lease:
-        raise SpecError(
-            "executor.heartbeat_interval",
-            f"({heartbeat}) must be shorter than lease_seconds ({lease}), "
-            f"or every lease expires between renewals",
-        )
-    host = executor.get("host", "127.0.0.1")
-    if not isinstance(host, str) or not host:
-        raise SpecError("executor.host", "expected a non-empty string")
-    return {
-        "kind": "fabric",
-        "host": host,
-        "port": port,
-        "workers": _spec_int(executor, "executor", "workers", 2, minimum=1),
-        "lease_seconds": lease,
-        "heartbeat_interval": heartbeat,
-        "join_timeout": _spec_float(
-            executor, "executor", "join_timeout", 60.0, positive=True
-        ),
-    }
+#: A missing ``kind`` selects the first member, serial.
+_ExecutorSpec = _SerialSpec | _ParallelSpec | _FabricSpec
 
 
-_SPEC_FIELDS = frozenset({
-    "schema_version", "kind", "mesh", "workload", "fault",
-    "engine", "sites", "keep_patterns", "executor",
-})
+@layout
+class _CampaignSpec:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["campaign-spec"] = "campaign-spec"
+    mesh: _Mesh
+    workload: _GemmSpec | _ConvSpec
+    fault: _FaultSpecDoc = _FaultSpecDoc()
+    engine: Literal["functional", "cycle", "analytic"] = "functional"
+    sites: list[tuple[int, int]] | None = None
+    keep_patterns: bool = True
+    executor: _ExecutorSpec = _SerialSpec()
+
+
+def _checked(executor: _ExecutorSpec) -> _ExecutorSpec:
+    """The cross-field rules of an executor spec."""
+    if isinstance(executor, _FabricSpec):
+        if executor.port > 65535:
+            raise SpecError("executor.port", f"must be <= 65535, got {executor.port}")
+        if executor.heartbeat_interval >= executor.lease_seconds:
+            raise SpecError(
+                "executor.heartbeat_interval",
+                f"({executor.heartbeat_interval}) must be shorter than "
+                f"lease_seconds ({executor.lease_seconds}), "
+                f"or every lease expires between renewals",
+            )
+        if not executor.host:
+            raise SpecError("executor.host", "expected a non-empty string")
+    return executor
 
 
 def decode_campaign_spec(data: Any) -> tuple[Campaign, dict[str, Any]]:
-    """Validate a campaign spec and build ``(campaign, executor spec)``.
-
-    The executor spec comes back as a normalised plain dict (kind plus
-    kind-specific knobs, defaults filled in) rather than a constructed
-    executor: the job manager builds the real executor per *run*, wiring
-    in its own checkpoint path, interrupt event, and observability.
-
-    Raises
-    ------
-    SpecError
-        On any unknown field, wrong type, or out-of-range value; the
-        error's ``path`` names the offending field (``"workload.m"``).
-    """
-    spec = _spec_mapping(data, "")
-    _spec_unknown(spec, "", _SPEC_FIELDS)
-    version = spec.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SpecError(
-            "schema_version",
-            f"unsupported campaign spec schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})",
-        )
-    kind = spec.get("kind", "campaign-spec")
-    if kind != "campaign-spec":
-        raise SpecError("kind", f"expected 'campaign-spec', got {kind!r}")
-
-    if "mesh" not in spec:
-        _missing("mesh")
-    mesh_data = _spec_mapping(spec["mesh"], "mesh")
-    _spec_unknown(mesh_data, "mesh", frozenset({"rows", "cols"}))
-    mesh = MeshConfig(
-        rows=_spec_int(mesh_data, "mesh", "rows", minimum=1),
-        cols=_spec_int(mesh_data, "mesh", "cols", minimum=1),
-    )
-
-    if "workload" not in spec:
-        _missing("workload")
-    workload = _decode_workload(spec["workload"])
-
-    fault_data = _spec_mapping(spec.get("fault", {}), "fault")
-    _spec_unknown(fault_data, "fault", frozenset({"signal", "bit", "stuck"}))
-    signal = fault_data.get("signal", FaultSpec().signal)
-    if not isinstance(signal, str):
-        raise SpecError("fault.signal", "expected a string")
+    """Validate a campaign spec and build ``(campaign, executor spec)``, the
+    executor spec as a normalised dict with its defaults filled in. Raises
+    :class:`SpecError` whose ``path`` names the field (``"workload.m"``)."""
+    spec = decode(_CampaignSpec, data)
+    mesh = MeshConfig(rows=spec.mesh.rows, cols=spec.mesh.cols)
+    fields = {name: v for name, v in vars(spec.workload).items() if name != "op"}
+    if isinstance(spec.workload, _GemmSpec):
+        workload = GemmWorkload(**fields)
+    else:
+        kernel = dict(zip(_KERNEL, fields.pop("kernel")))
+        workload = ConvWorkload(**fields, **kernel)
     try:
         fault_spec = FaultSpec(
-            signal=signal,
-            bit=_spec_int(fault_data, "fault", "bit", FaultSpec().bit, minimum=0),
-            stuck_value=_spec_int(fault_data, "fault", "stuck", 1),
+            signal=spec.fault.signal, bit=spec.fault.bit, stuck_value=spec.fault.stuck
         )
     except (KeyError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
         raise SpecError("fault", str(exc)) from exc
-
-    engine = _spec_choice(spec, "", "engine", _ENGINES, "functional")
-
-    sites = spec.get("sites")
-    if sites is not None:
-        if not isinstance(sites, list):
-            raise SpecError("sites", "expected a list of [row, col] pairs or null")
-        decoded_sites: list[tuple[int, int]] = []
-        for index, site in enumerate(sites):
-            if (
-                not isinstance(site, list)
-                or len(site) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in site)
-            ):
-                raise SpecError(f"sites[{index}]", "expected a [row, col] pair")
-            row, col = site
-            if not (0 <= row < mesh.rows and 0 <= col < mesh.cols):
-                raise SpecError(
-                    f"sites[{index}]",
-                    f"({row}, {col}) is outside the "
-                    f"{mesh.rows}x{mesh.cols} mesh",
-                )
-            decoded_sites.append((row, col))
-        sites = decoded_sites
-
-    keep_patterns = spec.get("keep_patterns", True)
-    if not isinstance(keep_patterns, bool):
-        raise SpecError("keep_patterns", "expected a boolean")
-
-    executor = _decode_executor(spec.get("executor", {"kind": "serial"}))
+    for index, (row, col) in enumerate(spec.sites or ()):
+        if not (0 <= row < mesh.rows and 0 <= col < mesh.cols):
+            raise SpecError(
+                f"sites[{index}]",
+                f"({row}, {col}) is outside the {mesh.rows}x{mesh.cols} mesh",
+            )
     campaign = Campaign(
         mesh,
         workload,
         fault_spec=fault_spec,
-        engine=engine,
-        sites=sites,
-        keep_patterns=keep_patterns,
+        engine=spec.engine,
+        sites=spec.sites,
+        keep_patterns=spec.keep_patterns,
     )
-    return campaign, executor
-
-
-def _missing(field: str):
-    raise SpecError(field, "required field")
+    return campaign, encode(_checked(spec.executor))
 
 
 def encode_campaign_spec(
     campaign: Campaign, executor: dict[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Serialise a campaign (and optional executor spec) as a spec document.
-
-    ``decode_campaign_spec(encode_campaign_spec(c))`` rebuilds a campaign
-    with identical fields — the round-trip contract the codec tests pin.
-    """
+    """Serialise a campaign (and optional executor spec) as a spec document
+    that :func:`decode_campaign_spec` rebuilds with identical fields."""
     workload = campaign.workload
+    fields = {name: v for name, v in vars(workload).items() if name not in _KERNEL}
     if isinstance(workload, GemmWorkload):
-        workload_data: dict[str, Any] = {
-            "op": "gemm",
-            "m": workload.m,
-            "k": workload.k,
-            "n": workload.n,
-        }
+        workload_spec: _GemmSpec | _ConvSpec = _GemmSpec(op="gemm", **fields)
     else:
-        workload_data = {
-            "op": "conv",
-            "input_size": workload.input_size,
-            "kernel": list(workload.kernel_spec),
-            "batch": workload.batch,
-            "stride": workload.stride,
-            "padding": workload.padding,
-        }
-    workload_data["dataflow"] = workload.dataflow.value
-    workload_data["fill"] = workload.fill.value
-    workload_data["seed"] = workload.seed
-    data: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "campaign-spec",
-        "mesh": {"rows": campaign.mesh.rows, "cols": campaign.mesh.cols},
-        "workload": workload_data,
-        "fault": {
-            "signal": campaign.fault_spec.signal,
-            "bit": campaign.fault_spec.bit,
-            "stuck": campaign.fault_spec.stuck_value,
-        },
-        "engine": campaign.engine_kind,
-        "sites": [list(site) for site in campaign.sites],
-        "keep_patterns": campaign.keep_patterns,
-        "executor": dict(executor) if executor is not None else {"kind": "serial"},
-    }
-    return data
+        workload_spec = _ConvSpec(op="conv", kernel=workload.kernel_spec, **fields)
+    fault = campaign.fault_spec
+    return encode(_CampaignSpec(
+        mesh=_Mesh(rows=campaign.mesh.rows, cols=campaign.mesh.cols),
+        workload=workload_spec,
+        fault=_FaultSpecDoc(
+            signal=fault.signal, bit=fault.bit, stuck=fault.stuck_value
+        ),
+        engine=campaign.engine_kind,
+        sites=campaign.sites,
+        keep_patterns=campaign.keep_patterns,
+        executor=_checked(decode(_ExecutorSpec, executor or {}, "executor")),
+    ))
 
 
-# ----------------------------------------------------------------------
-# Job registry codec (append-only JSONL, one lifecycle snapshot per line)
-# ----------------------------------------------------------------------
-#
-# The service's job registry reuses the checkpoint stream's torn-write
-# discipline: a header line identifying the artefact, then one JSON
-# record per state transition, each a *full* snapshot of the job (id,
-# state, spec, error) so recovery needs only the last record per job.
-# Torn tails — the expected residue of a crashed server — are skipped
-# with a warning on read and healed by the writer before appending.
+# -- Job registry (a journal of full job snapshots) ---------------------
+
+_JobState = Literal["queued", "running", "done", "failed", "cancelled"]
+
+#: Terminal and non-terminal job lifecycle states (see repro.service.jobs).
+JOB_STATES = get_args(_JobState)
+
+
+@layout
+class _RegistryHeader:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["job-registry"] = "job-registry"
+
+
+@layout
+class _Job:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["job"] = "job"
+    job_id: str
+    seq: int
+    state: _JobState
+    spec: dict
+    error: str | None = None
 
 
 def job_registry_header() -> dict[str, Any]:
     """The identifying first line of a service job registry stream."""
-    return {"schema_version": SCHEMA_VERSION, "kind": "job-registry"}
+    return encode(_RegistryHeader())
 
 
 def job_record(
@@ -1008,172 +689,71 @@ def job_record(
     """One lifecycle snapshot of a service job, JSON-compatible."""
     if state not in JOB_STATES:
         raise ValueError(f"unknown job state {state!r}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "job",
-        "job_id": job_id,
-        "seq": seq,
-        "state": state,
-        "spec": spec,
-        "error": error,
-    }
-
-
-_JOB_FIELDS = frozenset({
-    "schema_version", "kind", "job_id", "seq", "state", "spec", "error",
-})
+    return encode(_Job(job_id=job_id, seq=seq, state=state, spec=spec, error=error))
 
 
 def job_from_record(record: dict[str, Any]) -> dict[str, Any]:
-    """Validate and normalise one job registry record.
+    """Validate one job registry record into a plain dict of ``job_id``,
+    ``seq``, ``state``, ``spec`` and ``error``; raises :class:`ValueError`."""
+    job = vars(decode_record(_Job, record, "job record"))
+    return {name: job[name] for name in ("job_id", "seq", "state", "spec", "error")}
 
-    Raises
-    ------
-    ValueError
-        If the record is not a job snapshot, carries an unknown schema
-        version or state, or has unknown/missing fields.
-    """
-    if not isinstance(record, dict) or record.get("kind") != "job":
-        raise ValueError("not a job record")
-    version = record.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported job record schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    unknown = set(record) - _JOB_FIELDS
-    if unknown:
-        raise ValueError(f"unknown job record fields: {sorted(unknown)}")
-    for field_name in ("job_id", "seq", "state", "spec"):
-        if field_name not in record:
-            raise ValueError(f"job record is missing {field_name!r}")
-    if record["state"] not in JOB_STATES:
-        raise ValueError(f"unknown job state {record['state']!r}")
-    if not isinstance(record["spec"], dict):
-        raise ValueError("job record spec must be an object")
-    return {
-        "job_id": record["job_id"],
-        "seq": record["seq"],
-        "state": record["state"],
-        "spec": record["spec"],
-        "error": record.get("error"),
-    }
+
+#: The service's job registry journal: job lifecycle snapshots.
+REGISTRY_JOURNAL = JournalKind(
+    label="job registry",
+    owner="service",
+    header=_RegistryHeader,
+    check_record=job_from_record,
+)
 
 
 def read_job_registry(path: str | Path) -> list[dict[str, Any]]:
-    """Read a job registry stream: validated job snapshots in file order.
-
-    Mirrors :func:`read_checkpoint`: a torn or corrupt record line is
-    skipped with a :class:`RuntimeWarning` (recovery proceeds from the
-    snapshots that did land), while a corrupt *header* raises — nothing
-    downstream can be trusted without it.
-
-    Raises
-    ------
-    FileNotFoundError
-        If ``path`` does not exist.
-    ValueError
-        If the file is empty, the header line is not valid JSON, the
-        file is not a job registry, or the schema version is unknown.
-    """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    stripped = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not stripped:
-        raise ValueError(f"job registry {path} is empty")
-    header_lineno, header_line = stripped[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"job registry {path} has a corrupt header line: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("kind") != "job-registry":
-        raise ValueError(f"{path} is not a job registry stream")
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported job registry schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    records: list[dict[str, Any]] = []
-    for lineno, line in stripped[1:]:
-        try:
-            records.append(job_from_record(json.loads(line)))
-        except (json.JSONDecodeError, ValueError) as exc:
-            warnings.warn(
-                f"skipping corrupt job registry record at {path}:{lineno} "
-                f"({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return records
+    """Read a job registry stream: validated job snapshots in file order
+    (see :func:`~repro.core.journal.read_journal`)."""
+    return read_journal(path, REGISTRY_JOURNAL)[1]
 
 
-# ----------------------------------------------------------------------
-# Campaign result artefact (the service's GET /campaigns/{id}/result body)
-# ----------------------------------------------------------------------
+# -- Campaign result artefact (GET /campaigns/{id}/result) ------------
+
+
+@layout
+class _CampaignResult:
+    schema_version: Version = SCHEMA_VERSION
+    kind: Literal["campaign-result"] = "campaign-result"
+    workload: str
+    operation: str
+    mesh: _Mesh
+    fault_spec: FaultSpec
+    wall_seconds: float
+    telemetry: Any = None
+    #: Checkpoint records, each decoded by :func:`experiment_from_record`.
+    experiments: list[Any]
+    failures: list[_Quarantine]
 
 
 def campaign_result_record(result: CampaignResult) -> dict[str, Any]:
-    """Serialise a campaign result at checkpoint (full) fidelity.
-
-    Unlike :func:`campaign_to_dict` — the archival summary — this stores
-    the classification evidence and sparse deviation cells of every
-    experiment verbatim (via :func:`experiment_record`), so a client
-    holding the same campaign spec can rebuild a ``CampaignResult`` that
-    is field-for-field identical to the run that produced it.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "campaign-result",
-        "workload": result.workload.describe(),
-        "operation": str(result.workload.operation),
-        "mesh": {"rows": result.mesh.rows, "cols": result.mesh.cols},
-        "fault_spec": {
-            "signal": result.fault_spec.signal,
-            "bit": result.fault_spec.bit,
-            "stuck_value": result.fault_spec.stuck_value,
-        },
-        "wall_seconds": result.wall_seconds,
-        "telemetry": result.telemetry,
-        "experiments": [experiment_record(e) for e in result.experiments],
-        "failures": [failure_record(f) for f in result.failures],
-    }
+    """Serialise a campaign result at checkpoint fidelity: unlike the
+    archival :func:`campaign_to_dict` it stores every experiment's
+    checkpoint record, so the same spec rebuilds it field for field."""
+    return encode(_CampaignResult(
+        **_identity(result),
+        wall_seconds=result.wall_seconds,
+        telemetry=result.telemetry,
+        experiments=[experiment_record(e) for e in result.experiments],
+        failures=[_quarantine(f) for f in result.failures],
+    ))
 
 
 def campaign_result_from_record(
     data: dict[str, Any], campaign: Campaign
 ) -> CampaignResult:
-    """Rebuild a full-fidelity :class:`CampaignResult` from its artefact.
-
-    The golden context (output, plan, geometry) is *recomputed* from
-    ``campaign`` — the artefact ships only the sparse per-experiment
-    evidence, exactly like a checkpoint stream, and the golden run is
-    deterministic given the spec.
-
-    Raises
-    ------
-    ValueError
-        If the artefact is not a campaign result or carries an unknown
-        schema version.
-    """
-    if not isinstance(data, dict) or data.get("kind") != "campaign-result":
-        raise ValueError("not a campaign result artefact")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported campaign result schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
+    """Rebuild a full-fidelity :class:`CampaignResult` from its artefact,
+    recomputing the deterministic golden run from ``campaign``. Raises
+    :class:`ValueError` for another artefact or schema version."""
+    artefact = decode_record(_CampaignResult, data, "campaign result artefact")
     golden, plan, geometry = campaign.golden_run()
     shape = golden.shape if campaign.keep_patterns else None
-    experiments = [
-        experiment_from_record(
-            record, shape=shape, plan=plan, geometry=geometry
-        )
-        for record in data["experiments"]
-    ]
     return CampaignResult(
         workload=campaign.workload,
         fault_spec=campaign.fault_spec,
@@ -1181,8 +761,11 @@ def campaign_result_from_record(
         golden=golden,
         plan=plan,
         geometry=geometry,
-        experiments=experiments,
-        wall_seconds=data["wall_seconds"],
-        failures=[failure_from_record(f) for f in data["failures"]],
-        telemetry=data.get("telemetry"),
+        experiments=[
+            experiment_from_record(record, shape=shape, plan=plan, geometry=geometry)
+            for record in artefact.experiments
+        ],
+        wall_seconds=artefact.wall_seconds,
+        failures=[_failure(f) for f in artefact.failures],
+        telemetry=artefact.telemetry,
     )

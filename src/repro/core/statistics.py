@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy.stats import norm
 
 from repro.core.campaign import ExperimentResult
 
@@ -43,7 +42,7 @@ __all__ = [
 def _z_score(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def required_sample_size(

@@ -10,8 +10,9 @@ The manager owns a bounded FIFO queue and runs one job at a time on a
 worker thread (each job already fans out internally — a process pool or
 a socket fleet — so service-level concurrency is queueing, not another
 layer of parallelism). Every state transition is appended, as a *full*
-snapshot, to an fsynced JSONL registry with the checkpoint stream's
-torn-write hygiene, so ``serve --resume`` can rebuild the queue after a
+snapshot, to an fsynced registry journal — the same
+:mod:`repro.core.journal` the campaign checkpoint uses — so
+``serve --resume`` can rebuild the queue after a
 crash: terminal jobs come back as history, queued and running jobs are
 re-queued, and a re-run job resumes from its own campaign checkpoint —
 the same file a Ctrl-C'd CLI campaign resumes from.
@@ -31,19 +32,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.chaos import ChaosSpec
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.fabric.coordinator import DistributedExecutor
-from repro.core.resilience import (
-    CampaignExecutionError,
-    CampaignInterrupted,
-    CheckpointCorrupt,
-)
+from repro.core.journal import Journal
+from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
 from repro.core.serialize import (
     JOB_STATES,
+    REGISTRY_JOURNAL,
     campaign_result_record,
     decode_campaign_spec,
     job_record,
@@ -155,10 +154,10 @@ class JobManager:
         self._jobs: dict[str, Job] = {}
         self._queue: list[str] = []
         self._next_id = 1
-        self._stream: IO[str] | None = None
+        self._journal: Journal | None = None
         self._draining = False
 
-    # -- registry stream (checkpoint torn-write hygiene) ----------------
+    # -- registry journal ------------------------------------------------
     def open(self, resume: bool = False) -> int:
         """Open the registry for appending; optionally restore jobs.
 
@@ -168,64 +167,30 @@ class JobManager:
         """
         for directory in (self.state_dir, self.checkpoint_dir, self.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
-        path = self.registry_path
-        size = path.stat().st_size if path.exists() else 0
-        torn_tail = False
-        if size > 0:
-            with path.open("rb") as probe:
-                first = probe.readline()
-                header: object = None
-                if first.endswith(b"\n"):
-                    try:
-                        header = json.loads(first.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        header = None
-                if (
-                    not isinstance(header, dict)
-                    or header.get("kind") != "job-registry"
-                ):
-                    raise CheckpointCorrupt(
-                        f"job registry {path} has a torn or unrecognizable "
-                        f"header line; refusing to append to it — move the "
-                        f"file aside (or delete it) and restart"
-                    )
-                probe.seek(-1, os.SEEK_END)
-                torn_tail = probe.read(1) != b"\n"
-        restored = self._restore() if resume and size > 0 else 0
-        self._stream = path.open("a")
-        if size == 0:
-            self._stream.write(json.dumps(job_registry_header()) + "\n")
-        elif torn_tail:
-            self._stream.write("\n")
-        self._sync()
-        if restored:
-            # The restored queued/running jobs go back to queued — as
-            # fresh snapshots, so a second crash still sees them.
-            for job_id in self._queue:
-                self._append(self._jobs[job_id])
+        existed = self.registry_path.exists()
+        self._journal = Journal(
+            self.registry_path, job_registry_header(), REGISTRY_JOURNAL
+        )
+        restored = self._restore() if resume and existed else 0
+        # The restored queued/running jobs go back to queued — as fresh
+        # snapshots, so a second crash still sees them.
+        self._journal.append(
+            self._record(self._jobs[job_id]) for job_id in self._queue
+        )
         return restored
 
     def close(self) -> None:
-        stream, self._stream = self._stream, None
-        if stream is not None:
-            try:
-                stream.flush()
-                os.fsync(stream.fileno())
-            finally:
-                stream.close()
+        journal, self._journal = self._journal, None
+        if journal is not None:
+            journal.close()
 
-    def _sync(self) -> None:
-        assert self._stream is not None
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
+    @staticmethod
+    def _record(job: Job) -> dict[str, Any]:
+        return job_record(job.job_id, job.seq, job.state, job.spec, job.error)
 
     def _append(self, job: Job) -> None:
-        if self._stream is None:
-            return
-        self._stream.write(json.dumps(job_record(
-            job.job_id, job.seq, job.state, job.spec, job.error
-        )) + "\n")
-        self._sync()
+        if self._journal is not None:
+            self._journal.append([self._record(job)])
 
     def _restore(self) -> int:
         """Fold the registry into live jobs: last snapshot per id wins."""

@@ -85,7 +85,6 @@ def test_full_battery_ran():
         "mask-closure",
         "exception-contract",
         "golden-purity",
-        "schema-drift",
         "array-dtype-closure",
         "array-broadcast",
         "array-shape-conservation",

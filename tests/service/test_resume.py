@@ -63,12 +63,23 @@ def spawn_server(state_dir, *extra: str) -> tuple[subprocess.Popen, int]:
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
+        # Its own process group, so kill_group reaches the pool workers
+        # a SIGKILLed server leaves behind.
+        start_new_session=True,
     )
     assert proc.stdout is not None
     line = proc.stdout.readline()
     match = ANNOUNCE.search(line)
     assert match, f"no announce line from serve (got {line!r})"
     return proc, int(match.group(1))
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL whatever is left of a server's process group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def api(port, method, path, payload=None, timeout=30):
@@ -121,6 +132,7 @@ def test_sigkill_then_resume_completes_identically(tmp_path):
     finally:
         if first.poll() is None:
             first.kill()
+        kill_group(first)
 
     # No serve process alive; the registry on disk already tells the
     # story — last snapshot has the job running, mid-flight.
@@ -152,6 +164,7 @@ def test_sigkill_then_resume_completes_identically(tmp_path):
     finally:
         if second.poll() is None:
             second.kill()
+        kill_group(second)
 
     # The registry remained append-only across the crash: the job's
     # lifecycle re-walks queued -> running -> done after the requeue.
@@ -181,3 +194,4 @@ def test_free_port_binding_announces_real_port(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+        kill_group(proc)

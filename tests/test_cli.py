@@ -426,7 +426,6 @@ class TestLintCommand:
             "mask-closure",
             "exception-contract",
             "golden-purity",
-            "schema-drift",
             "array-dtype-closure",
             "array-broadcast",
             "array-shape-conservation",

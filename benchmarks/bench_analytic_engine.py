@@ -16,18 +16,15 @@ Per dataflow (OS and WS — the paper's two schemes on GEMM):
   for pattern;
 * assert ``functional / analytic >= 10``.
 
-Numbers land in ``BENCH_analytic_engine.json`` at the repo root.
+The measured times and speedups are printed as a table.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.core import Campaign, GemmWorkload
+from repro.core.campaign import Campaign, GemmWorkload
 from repro.core.executor import GOLDEN_CACHE
-from repro.core.serialize import SCHEMA_VERSION
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, run_once
@@ -35,7 +32,6 @@ from _common import banner, run_once
 MESH = MeshConfig.paper()
 REPEATS = 5
 SPEEDUP_FLOOR = 10.0
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_analytic_engine.json"
 
 DATAFLOWS = (Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY)
 
@@ -119,17 +115,6 @@ def test_analytic_speedup(benchmark):
             f"{row['speedup_vs_cycle']:>7.1f}x"
         )
     print(f"speedup floor vs functional: {SPEEDUP_FLOOR}x")
-
-    ARTIFACT.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "analytic_engine",
-        "mesh": f"{MESH.rows}x{MESH.cols}",
-        "sites": MESH.num_macs,
-        "repeats": REPEATS,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "sweeps": rows,
-    }, indent=2) + "\n")
-    print(f"written: {ARTIFACT.name}")
 
     for row in rows:
         assert row["speedup_vs_functional"] >= SPEEDUP_FLOOR, (

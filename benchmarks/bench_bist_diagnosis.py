@@ -9,7 +9,7 @@ Two numbers the taxonomy makes possible:
   WS/conv patterns).
 """
 
-from repro.core import Campaign, ConvWorkload, GemmWorkload
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.diagnosis import diagnose
 from repro.core.reports import format_table
 from repro.faults import FaultInjector, FaultSite

@@ -11,14 +11,9 @@ symmetry enables: a diagonal sweep reaches the same census conclusion with
 application-level FI campaigns.
 """
 
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    GemmWorkload,
-    PatternClass,
-    diagonal_sites,
-)
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.reports import format_table
+from repro.core.sampling import diagonal_sites
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, run_once

@@ -19,25 +19,16 @@ timed region is framing, leases, and scheduling, not process spawn.
 Wall-clock is interleaved min-of-repeats so one scheduler hiccup cannot
 fail the pin; the bench asserts fabric/parallel <= 1.25 on hosts with
 at least 2 usable cores (reported as context on starved runners) and
-writes the measured numbers to ``BENCH_fabric_overhead.json`` at the
-repo root.
+prints the measured numbers.
 """
 
-import json
 import socket
 import threading
 import time
-from pathlib import Path
 
-from repro.core import (
-    Campaign,
-    DistributedExecutor,
-    GemmWorkload,
-    ParallelExecutor,
-    WorkerAgent,
-)
-from repro.core.executor import GOLDEN_CACHE
-from repro.core.serialize import SCHEMA_VERSION
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, ParallelExecutor
+from repro.core.fabric import DistributedExecutor, WorkerAgent
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, parallel_capacity, run_once
@@ -47,7 +38,6 @@ WORKLOAD = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 WORKERS = 2
 REPEATS = 3
 OVERHEAD_CEILING = 1.25
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_fabric_overhead.json"
 
 
 def make_campaign() -> Campaign:
@@ -142,22 +132,6 @@ def test_fabric_overhead(benchmark):
     print(f"{'parallel':>9}  {parallel_best:>8.3f}  {'1.000':>11}")
     print(f"{'fabric':>9}  {fabric_best:>8.3f}  {overhead:>11.3f}")
     print(f"ceiling: {OVERHEAD_CEILING}")
-
-    ARTIFACT.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "fabric_overhead",
-        "workload": WORKLOAD.describe(),
-        "engine": "cycle",
-        "sites": len(make_campaign().sites),
-        "workers": WORKERS,
-        "repeats": REPEATS,
-        "parallel_seconds": parallel_best,
-        "fabric_seconds": fabric_best,
-        "overhead": overhead,
-        "ceiling": OVERHEAD_CEILING,
-        "cores": cores,
-    }, indent=2) + "\n")
-    print(f"written: {ARTIFACT.name}")
 
     # Determinism guarantee: the wire changes nothing.
     assert fabric.census() == parallel.census()

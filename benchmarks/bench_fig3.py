@@ -15,7 +15,8 @@ the multi-channel shape the paper shows for Fig. 3f/3g.
 import pytest
 
 from repro.analysis import render_conv_pattern, render_gemm_pattern
-from repro.core import Campaign, ConvWorkload, GemmWorkload, PatternClass
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.classifier import PatternClass
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, run_once

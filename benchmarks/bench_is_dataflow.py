@@ -9,7 +9,8 @@ winner — evidence that the paper's OS-vs-WS conclusion generalises.
 """
 
 from repro.analysis import summary_table
-from repro.core import Campaign, GemmWorkload, PatternClass
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.classifier import PatternClass
 from repro.core.metrics import fault_tolerance_ranking
 from repro.systolic import Dataflow, MeshConfig
 

@@ -9,8 +9,6 @@ fault pattern survives, for both stuck-at polarities.
 
 import numpy as np
 
-from repro.core import Campaign, FaultSpec, GemmWorkload
-from repro.core.campaign import FillKind
 from repro.core.fault_patterns import extract_pattern
 from repro.core.predictor import predict_pattern
 from repro.core.reports import format_table

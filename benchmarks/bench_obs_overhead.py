@@ -14,21 +14,17 @@ that matters. This bench measures the paper's 16x16 WS GEMM sweep
   registry.
 
 Wall-clock is min-of-repeats so one scheduler hiccup cannot fail the
-pin; the bench asserts disabled/bare <= 1.05 and writes the measured
-numbers to ``BENCH_obs_overhead.json`` at the repo root. The armed
-ratio is reported as context (spans around every experiment have a real
-but small cost) and the armed result is asserted identical to the
-disabled one, reduction for reduction.
+pin; the bench asserts disabled/bare <= 1.05 and prints the measured
+numbers. The armed ratio is reported as context (spans around every
+experiment have a real but small cost) and the armed result is asserted
+identical to the disabled one, reduction for reduction.
 """
 
 import io
-import json
 import time
-from pathlib import Path
 
-from repro.core import Campaign, GemmWorkload, SerialExecutor
-from repro.core.executor import GOLDEN_CACHE
-from repro.core.serialize import SCHEMA_VERSION
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, SerialExecutor
 from repro.obs import MetricsRegistry, Observability, ProgressReporter, TraceRecorder
 from repro.systolic import Dataflow, MeshConfig
 
@@ -38,7 +34,6 @@ MESH = MeshConfig.paper()
 WORKLOAD = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 REPEATS = 7
 OVERHEAD_CEILING = 1.05
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_obs_overhead.json"
 
 
 def make_campaign() -> Campaign:
@@ -108,22 +103,6 @@ def test_obs_overhead(benchmark):
     print(f"{'disabled':>9}  {disabled_seconds:>8.3f}  {disabled_overhead:>8.3f}")
     print(f"{'armed':>9}  {armed_seconds:>8.3f}  {armed_overhead:>8.3f}")
     print(f"disabled ceiling: {OVERHEAD_CEILING}")
-
-    ARTIFACT.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "obs_overhead",
-        "workload": WORKLOAD.describe(),
-        "engine": "functional",
-        "sites": len(make_campaign().sites),
-        "repeats": REPEATS,
-        "bare_seconds": bare_seconds,
-        "disabled_seconds": disabled_seconds,
-        "armed_seconds": armed_seconds,
-        "disabled_overhead": disabled_overhead,
-        "armed_overhead": armed_overhead,
-        "ceiling": OVERHEAD_CEILING,
-    }, indent=2) + "\n")
-    print(f"written: {ARTIFACT.name}")
 
     # Determinism guarantee: arming observability never changes results.
     assert armed.census() == disabled.census()

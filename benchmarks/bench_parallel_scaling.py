@@ -16,8 +16,8 @@ equivalence and prints the measured ratios as context.
 
 import time
 
-from repro.core import Campaign, GemmWorkload, ParallelExecutor, SerialExecutor
-from repro.core.executor import GOLDEN_CACHE
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, ParallelExecutor, SerialExecutor
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, parallel_capacity, run_once

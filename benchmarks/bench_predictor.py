@@ -12,12 +12,8 @@ import time
 
 import numpy as np
 
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    GemmWorkload,
-    predict_pattern,
-)
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.predictor import predict_pattern
 from repro.core.reports import format_table
 from repro.systolic import Dataflow, MeshConfig
 

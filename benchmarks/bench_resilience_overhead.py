@@ -18,13 +18,9 @@ measured ratio as context.
 
 import time
 
-from repro.core import (
-    Campaign,
-    GemmWorkload,
-    ParallelExecutor,
-    RetryPolicy,
-)
-from repro.core.executor import GOLDEN_CACHE
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, ParallelExecutor
+from repro.core.resilience import RetryPolicy
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, parallel_capacity, run_once

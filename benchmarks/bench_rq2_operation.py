@@ -7,7 +7,8 @@ im2col lowering maps output channel k onto GEMM column k.
 """
 
 from repro.analysis import summary_table
-from repro.core import Campaign, ConvWorkload, GemmWorkload, PatternClass
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.classifier import PatternClass
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, run_once

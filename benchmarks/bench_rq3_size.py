@@ -14,7 +14,8 @@ configuration.
 import numpy as np
 
 from repro.analysis import per_tile_counts, summary_table
-from repro.core import Campaign, ConvWorkload, GemmWorkload, PatternClass
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.classifier import PatternClass
 from repro.systolic import Dataflow, MeshConfig
 
 from _common import banner, run_once

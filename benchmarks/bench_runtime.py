@@ -11,7 +11,7 @@ of magnitude more than the vectorised one — is the reproduced result.
 
 import time
 
-from repro.core import Campaign, ConvWorkload, GemmWorkload
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.reports import format_table
 from repro.systolic import Dataflow, MeshConfig
 

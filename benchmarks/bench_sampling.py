@@ -7,7 +7,7 @@ the machinery of :mod:`repro.core.statistics` against exhaustive ground
 truth and shows the experiment-count savings it buys at TPU scale.
 """
 
-from repro.core import Campaign, ConvWorkload, GemmWorkload
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
 from repro.core.reports import format_table
 from repro.core.sampling import random_sites
 from repro.core.statistics import estimate_rate, required_sample_size

@@ -15,27 +15,21 @@ paper's 16x16 WS GEMM sweep under the cycle-accurate engine two ways:
 
 The service is booted once and kept across rounds; wall-clock is
 interleaved min-of-repeats so one scheduler hiccup cannot fail the pin.
-The measured numbers go to ``BENCH_service_overhead.json`` at the repo
-root, and the fetched artefact must rebuild field-for-field identical
-to the direct run — the overhead pin is meaningless if the service
-returned different science.
+The measured numbers are printed, and the fetched artefact must rebuild
+field-for-field identical to the direct run — the overhead pin is
+meaningless if the service returned different science.
 """
 
 import json
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.core import Campaign, GemmWorkload, SerialExecutor
-from repro.core.executor import GOLDEN_CACHE
-from repro.core.serialize import (
-    SCHEMA_VERSION,
-    campaign_result_from_record,
-    decode_campaign_spec,
-)
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import GOLDEN_CACHE, SerialExecutor
+from repro.core.serialize import campaign_result_from_record, decode_campaign_spec
 from repro.service import CampaignService
 from repro.systolic import Dataflow, MeshConfig
 
@@ -45,7 +39,6 @@ MESH = MeshConfig.paper()
 WORKLOAD = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 REPEATS = 3
 OVERHEAD_CEILING = 1.25
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_service_overhead.json"
 
 SPEC = {
     "mesh": {"rows": MESH.rows, "cols": MESH.cols},
@@ -147,21 +140,6 @@ def test_service_overhead(benchmark):
     print(f"{'direct':>8}  {direct_best:>8.3f}  {'1.000':>9}")
     print(f"{'service':>8}  {service_best:>8.3f}  {overhead:>9.3f}")
     print(f"ceiling: {OVERHEAD_CEILING}")
-
-    ARTIFACT.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "bench": "service_overhead",
-        "workload": WORKLOAD.describe(),
-        "engine": "cycle",
-        "sites": len(make_campaign().sites),
-        "repeats": REPEATS,
-        "direct_seconds": direct_best,
-        "service_seconds": service_best,
-        "overhead": overhead,
-        "ceiling": OVERHEAD_CEILING,
-        "cores": cores,
-    }, indent=2) + "\n")
-    print(f"written: {ARTIFACT.name}")
 
     # Identity guarantee: the front door changes nothing. The artefact
     # rebuilds against the same spec and must match the direct run.

@@ -5,8 +5,8 @@ RQ1-RQ3) and checks the '131K FI configurations' arithmetic behind the
 paper's sampling argument.
 """
 
-from repro.core import paper_configurations, paper_state_space
 from repro.core.reports import format_table
+from repro.core.sampling import paper_configurations, paper_state_space
 
 from _common import banner, run_once
 

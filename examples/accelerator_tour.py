@@ -12,9 +12,10 @@ Run:  python examples/accelerator_tour.py
 
 import numpy as np
 
-from repro import Dataflow, FaultInjector, FaultSite, GemminiAccelerator, MeshConfig
 from repro.core.reports import format_table
-from repro.systolic import CycleSimulator
+from repro.faults import FaultInjector, FaultSite
+from repro.gemmini import GemminiAccelerator
+from repro.systolic import CycleSimulator, Dataflow, MeshConfig
 from repro.systolic.trace import TraceRecorder
 
 

@@ -13,16 +13,16 @@ Run:  python examples/dnn_accuracy_study.py
 
 import numpy as np
 
-from repro import Dataflow, FaultInjector, FaultSet, FaultSite, MeshConfig
 from repro.appfi import attach_permanent_fault, detach_faults
 from repro.core.reports import format_table
-from repro.faults import StuckAtFault
+from repro.faults import FaultInjector, FaultSet, FaultSite, StuckAtFault
 from repro.nn import (
     SystolicBackend,
     build_conv_classifier,
     build_dense_classifier,
     make_digits,
 )
+from repro.systolic import Dataflow, MeshConfig
 
 MESH = MeshConfig.paper()
 WS = Dataflow.WEIGHT_STATIONARY

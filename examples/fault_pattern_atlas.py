@@ -8,14 +8,9 @@ fault that was injected, and the rendered fault map with tile boundaries.
 Run:  python examples/fault_pattern_atlas.py
 """
 
-from repro import (
-    Campaign,
-    ConvWorkload,
-    Dataflow,
-    GemmWorkload,
-    MeshConfig,
-)
 from repro.analysis import render_conv_pattern, render_gemm_pattern
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.systolic import Dataflow, MeshConfig
 
 MESH16 = MeshConfig.paper()
 MESH4 = MeshConfig(rows=4, cols=4)

@@ -13,7 +13,6 @@ Run:  python examples/full_study.py            (~1 minute)
 import sys
 import time
 
-from repro.core import diagnose  # noqa: F401  (re-exported surface check)
 from repro.core.sampling import diagonal_sites
 from repro.core.study import run_paper_study
 from repro.systolic import MeshConfig

@@ -17,9 +17,11 @@ Run:  python examples/lltfi_integration.py
 
 import numpy as np
 
-from repro import ConvGeometry, Dataflow, FaultSite, MeshConfig
 from repro.appfi import AppLevelInjector, HardwareModel
 from repro.core.reports import format_table
+from repro.faults import FaultSite
+from repro.ops import ConvGeometry
+from repro.systolic import Dataflow, MeshConfig
 
 
 def main() -> None:

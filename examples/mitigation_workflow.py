@@ -16,13 +16,13 @@ Run:  python examples/mitigation_workflow.py
 
 import numpy as np
 
-from repro import Dataflow, FaultInjector, FaultSite, MeshConfig
+from repro.faults import FaultInjector, FaultSite
 from repro.faults.injector import NO_FAULTS
 from repro.mitigation import AbftGemm, OffliningGemm, run_bist
 from repro.nn import build_dense_classifier, make_digits
 from repro.nn.backends import SystolicBackend
 from repro.ops import reference_gemm
-from repro.systolic import FunctionalSimulator
+from repro.systolic import Dataflow, FunctionalSimulator, MeshConfig
 
 MESH = MeshConfig.paper()
 WS = Dataflow.WEIGHT_STATIONARY

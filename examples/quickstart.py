@@ -12,15 +12,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import (
-    Campaign,
-    Dataflow,
-    FaultSpec,
-    GemmWorkload,
-    MeshConfig,
-    predict_pattern,
-)
 from repro.analysis import render_gemm_pattern
+from repro.core.campaign import Campaign, FaultSpec, GemmWorkload
+from repro.core.predictor import predict_pattern
+from repro.systolic import Dataflow, MeshConfig
 
 
 def main() -> None:

@@ -4,6 +4,8 @@ A full reproduction of Agarwal et al., "Towards Reliability Assessment of
 Systolic Arrays against Stuck-at Faults" (DSN 2023, Disrupt track), as a
 Python library:
 
+* :mod:`repro.datatypes` — fixed-width two's-complement arithmetic, the
+  leaf every datapath layer builds on;
 * :mod:`repro.systolic` — a cycle-level, bit-accurate systolic-array
   simulator (OS/WS dataflows, INT8 datapath, named MAC signals) plus a
   cross-validated vectorised engine;
@@ -24,7 +26,8 @@ Python library:
 
 Quickstart
 ----------
->>> from repro import (MeshConfig, Dataflow, Campaign, GemmWorkload)
+>>> from repro.core.campaign import Campaign, GemmWorkload
+>>> from repro.systolic import Dataflow, MeshConfig
 >>> mesh = MeshConfig.paper()                      # 16x16 INT8
 >>> workload = GemmWorkload.square(16, Dataflow.WEIGHT_STATIONARY)
 >>> result = Campaign(mesh, workload).run()        # 256 FI experiments
@@ -32,129 +35,6 @@ Quickstart
 'single-column'
 """
 
-from repro.appfi import AppLevelInjector, HardwareModel, attach_permanent_fault
-from repro.checks import Finding
-from repro.checks import Severity as LintSeverity
-from repro.checks import run_checks
-from repro.mitigation import (
-    AbftGemm,
-    OffliningGemm,
-    TemporalRedundantGemm,
-    run_bist,
-    select_dataflow,
-)
-from repro.core import (
-    DiagnosisResult,
-    StudyReport,
-    VulnerabilityProfile,
-    analyze_operation,
-    diagnose,
-    run_paper_study,
-)
-from repro.core import (
-    Campaign,
-    CampaignResult,
-    Classification,
-    ConvWorkload,
-    ExperimentResult,
-    FaultPattern,
-    FaultSpec,
-    FillKind,
-    GemmWorkload,
-    OperationType,
-    PatternClass,
-    PredictedPattern,
-    classify_pattern,
-    extract_pattern,
-    paper_configurations,
-    paper_state_space,
-    predict_class,
-    predict_pattern,
-)
-from repro.faults import (
-    FaultInjector,
-    FaultSet,
-    FaultSite,
-    StuckAtFault,
-    TransientBitFlip,
-)
-from repro.gemmini import GemminiAccelerator
-from repro.ops import (
-    ConvGeometry,
-    SystolicConv2d,
-    TiledGemm,
-    TilingPlan,
-    reference_conv2d,
-    reference_gemm,
-)
-from repro.systolic import (
-    CycleSimulator,
-    Dataflow,
-    FunctionalSimulator,
-    MeshConfig,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # hardware substrate
-    "MeshConfig",
-    "Dataflow",
-    "CycleSimulator",
-    "FunctionalSimulator",
-    "GemminiAccelerator",
-    # fault models
-    "FaultSite",
-    "StuckAtFault",
-    "TransientBitFlip",
-    "FaultSet",
-    "FaultInjector",
-    # operators
-    "TiledGemm",
-    "SystolicConv2d",
-    "ConvGeometry",
-    "TilingPlan",
-    "reference_gemm",
-    "reference_conv2d",
-    # FI framework
-    "Campaign",
-    "CampaignResult",
-    "ExperimentResult",
-    "GemmWorkload",
-    "ConvWorkload",
-    "FaultSpec",
-    "FillKind",
-    "OperationType",
-    "PatternClass",
-    "Classification",
-    "classify_pattern",
-    "FaultPattern",
-    "extract_pattern",
-    "PredictedPattern",
-    "predict_pattern",
-    "predict_class",
-    "paper_configurations",
-    "paper_state_space",
-    # application-level FI
-    "HardwareModel",
-    "AppLevelInjector",
-    "attach_permanent_fault",
-    # diagnosis, analysis & study
-    "diagnose",
-    "DiagnosisResult",
-    "analyze_operation",
-    "VulnerabilityProfile",
-    "run_paper_study",
-    "StudyReport",
-    # static analysis of the code base itself
-    "run_checks",
-    "Finding",
-    "LintSeverity",
-    # mitigation
-    "AbftGemm",
-    "TemporalRedundantGemm",
-    "OffliningGemm",
-    "run_bist",
-    "select_dataflow",
-]
+__all__ = ["__version__"]

@@ -28,12 +28,12 @@ import numpy as np
 
 from repro.core.classifier import PatternClass
 from repro.core.predictor import PredictedPattern, predict_pattern
+from repro.datatypes import INT32, IntType, flip_bit_array, force_bit_array
 from repro.faults.sites import FaultSite
 from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import plan_gemm_tiling
 from repro.systolic.array import MeshConfig
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import INT32, IntType, flip_bit_array, force_bit_array
 
 __all__ = ["HardwareModel", "DerivedPattern"]
 

@@ -94,9 +94,11 @@ __all__ = [
 ]
 
 #: Module prefixes the array pass interprets: the analytic engine tier,
-#: the systolic simulators, and the operator lowering layer they share.
+#: the fixed-width arithmetic and systolic simulators beneath it, and the
+#: operator lowering layer they share.
 ARRAY_SCOPE_PREFIXES: tuple[str, ...] = (
     "repro.engines.analytic",
+    "repro.datatypes",
     "repro.systolic",
     "repro.ops",
 )

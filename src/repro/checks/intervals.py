@@ -51,13 +51,13 @@ from typing import Iterator
 
 from repro.checks.engine import Finding, ProjectRule, Severity
 from repro.checks.graph import FunctionInfo, ProjectGraph
-from repro.systolic.datatypes import INT8, INT16, INT32, UINT8, IntType
+from repro.datatypes import INT8, INT16, INT32, UINT8, IntType
 
 __all__ = [
     "DTYPES_BY_NAME",
     "RANGE_CLOSED_METHODS",
     "DRIVE_METHODS",
-    "DATAPATH_PREFIX",
+    "DATAPATH_PREFIXES",
     "FAULT_PREFIX",
     "REGISTRY_MODULE",
     "TOP",
@@ -86,7 +86,7 @@ RANGE_CLOSED_METHODS = frozenset(
 DRIVE_METHODS = frozenset({"_drive", "drive"})
 
 #: Modules whose arithmetic the interval pass interprets.
-DATAPATH_PREFIX = "repro.systolic"
+DATAPATH_PREFIXES = ("repro.datatypes", "repro.systolic")
 
 #: Modules whose apply() methods the mask-closure pass checks.
 FAULT_PREFIX = "repro.faults"
@@ -540,14 +540,14 @@ def verify_intervals(
     dtype_attrs = {
         qual: _class_dtype_attrs(graph, qual)
         for qual in graph.classes
-        if (graph.classes[qual].module.name or "").startswith(DATAPATH_PREFIX)
+        if (graph.classes[qual].module.name or "").startswith(DATAPATH_PREFIXES)
     }
     findings: list[Finding] = []
     proofs: list[DriveProof] = []
     for qualname in sorted(graph.functions):
         info = graph.functions[qualname]
         mod_name = info.module.name or info.module.path.stem
-        if not mod_name.startswith(DATAPATH_PREFIX):
+        if not mod_name.startswith(DATAPATH_PREFIXES):
             continue
         interp = _FunctionInterpreter(graph, registry, info, dtype_attrs, rule)
         interp.run()

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Packages whose arithmetic must stay integer-only.
-_DATAPATH_SCOPES = ("repro.systolic", "repro.faults")
+_DATAPATH_SCOPES = ("repro.datatypes", "repro.systolic", "repro.faults")
 
 #: Reverse map ``"a_reg" -> "SIGNAL_A_REG"`` derived from the registry
 #: itself, so the linter can never disagree with the single source of truth.
@@ -80,9 +80,9 @@ class BitAccuracyRule(Rule):
     id = "bit-accuracy"
     severity = Severity.ERROR
     description = (
-        "datapath modules (repro.systolic, repro.faults) must use integer "
-        "semantics only: no float/complex literals, float() casts, or / "
-        "true division"
+        "datapath modules (repro.datatypes, repro.systolic, repro.faults) "
+        "must use integer semantics only: no float/complex literals, "
+        "float() casts, or / true division"
     )
     scopes = _DATAPATH_SCOPES
 
@@ -385,7 +385,7 @@ class ExportHygieneRule(Rule):
 _FROZEN_CONTRACTS: dict[str, tuple[str, ...]] = {
     "repro.faults.sites": ("FaultSite",),
     "repro.systolic.signals": ("SignalEvent",),
-    "repro.systolic.datatypes": ("IntType",),
+    "repro.datatypes": ("IntType",),
 }
 
 #: The module holding the signal/dtype registry the consistency check runs on.

@@ -62,18 +62,12 @@ import sys
 from typing import Sequence
 
 from repro.analysis import render_gemm_pattern, summary_table
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    FaultSpec,
-    GemmWorkload,
-    diagonal_sites,
-    predict_pattern,
-)
+from repro.core.campaign import Campaign, ConvWorkload, FaultSpec, GemmWorkload
 from repro.core.executor import ParallelExecutor, SerialExecutor
+from repro.core.predictor import predict_pattern
 from repro.core.reports import campaign_summary, format_table
 from repro.core.resilience import CampaignExecutionError, CampaignInterrupted
-from repro.core.sampling import StateSpace, random_sites
+from repro.core.sampling import StateSpace, diagonal_sites, random_sites
 from repro.core.serialize import save_campaign, save_fault_dictionary, save_metrics
 from repro.faults.sites import MAC_SIGNALS, PAPER_FAULT_SIGNAL, FaultSite
 from repro.obs import (

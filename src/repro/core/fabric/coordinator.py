@@ -84,6 +84,16 @@ from repro.ops.tiling import TilingPlan
 
 __all__ = ["Coordinator", "DistributedExecutor"]
 
+#: What a read from a worker raises when the peer is gone, silent or broken.
+_PEER_ERRORS = (
+    asyncio.IncompleteReadError,
+    asyncio.TimeoutError,
+    TimeoutError,
+    ConnectionError,
+    OSError,
+    ProtocolError,
+)
+
 
 @dataclass
 class _WorkerConn:
@@ -95,6 +105,7 @@ class _WorkerConn:
     jobs: int
     shards: set[int] = field(default_factory=set)
     lost: bool = False
+    drained: bool = False
 
 
 class Coordinator:
@@ -253,9 +264,12 @@ class Coordinator:
             await self._send_drain(worker)
 
     async def _send_drain(self, worker: _WorkerConn) -> None:
-        """Tell one worker the campaign is over, then hang up."""
+        """Tell one worker the campaign is over; its handler hangs up."""
         self.workers.pop(worker.worker_id, None)
         self._gauge_workers()
+        if worker.drained:
+            return
+        worker.drained = True
         try:
             await send_frame(
                 worker.writer,
@@ -270,7 +284,30 @@ class Coordinator:
             OSError,
         ):
             pass
-        self._close_writer(worker.writer)
+
+    async def _read_to_bye(
+        self,
+        worker: _WorkerConn,
+        reader: asyncio.StreamReader,
+        frame: dict | None,
+    ) -> None:
+        """Read a drained worker's frames until ``bye`` or EOF, at most
+        ``io_timeout``: what was still in flight when the campaign ended
+        (say a duplicate of the result that completed it) goes through
+        :meth:`_stale`, so it is counted, never ingested."""
+        deadline = time.monotonic() + self.executor.io_timeout
+        while frame is None or frame.get("type") != MSG_BYE:
+            if frame is not None and frame.get("type") in (
+                MSG_RESULT,
+                MSG_SHARD_ERROR,
+            ):
+                self._stale(worker, frame.get("shard_id"))
+            try:
+                frame = await recv_frame(
+                    reader, max(deadline - time.monotonic(), 0.0)
+                )
+            except _PEER_ERRORS:
+                return
 
     @staticmethod
     def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -317,8 +354,12 @@ class Coordinator:
             read_timeout = max(
                 self.executor.io_timeout, self.executor.lease_seconds * 3.0
             )
+            late: dict | None = None
             while not self._done.is_set():
                 frame = await recv_frame(reader, read_timeout)
+                if self._done.is_set():
+                    late = frame  # arrived after the end: never ingested
+                    break
                 kind = frame.get("type")
                 if kind == MSG_HEARTBEAT:
                     self.leases.renew(worker.worker_id, time.monotonic())
@@ -339,26 +380,18 @@ class Coordinator:
                     await self._assign(worker)
                 elif kind == MSG_BYE:
                     self._release_worker(worker)
-                    break
+                    return
                 else:
                     raise ProtocolError(
                         f"unexpected {kind!r} message from worker"
                     )
-            else:
-                # The campaign finished while this worker behaved: say
-                # drain from here, before the connection is torn down —
-                # serve()'s cleanup only reaches workers whose handlers
-                # are still parked in a read.
-                self._release_worker(worker)
-                await self._send_drain(worker)
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            TimeoutError,
-            ConnectionError,
-            OSError,
-            ProtocolError,
-        ) as exc:
+            # The campaign is over: say drain (unless serve()'s cleanup
+            # already did), then read what the worker still had in flight
+            # before the connection is torn down.
+            self._release_worker(worker)
+            await self._send_drain(worker)
+            await self._read_to_bye(worker, reader, late)
+        except _PEER_ERRORS as exc:
             if (
                 worker is not None
                 and not worker.lost

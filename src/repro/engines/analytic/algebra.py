@@ -42,13 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatypes import IntType, force_bit_array, wrap_array
 from repro.faults.sites import (
     SIGNAL_A_REG,
     SIGNAL_B_REG,
     SIGNAL_PRODUCT,
     SIGNAL_SUM,
 )
-from repro.systolic.datatypes import IntType, force_bit_array, wrap_array
 
 __all__ = ["FaultLens", "os_chain_tile", "ws_chain_tile"]
 

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.campaign import Campaign, ExperimentResult
 from repro.core.classifier import classify_cells, classify_pattern
 from repro.core.fault_patterns import FaultPattern
+from repro.datatypes import wrap_array
 from repro.engines.analytic.algebra import (
     FaultLens,
     os_chain_tile,
@@ -38,7 +39,6 @@ from repro.obs.trace import NULL_RECORDER
 from repro.ops.im2col import ConvGeometry, im2col, kernel_to_matrix
 from repro.ops.tiling import TilingPlan
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import wrap_array
 
 __all__ = [
     "FALLBACK_METRIC",

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.datatypes import IntType
 from repro.faults.sites import FaultSite
-from repro.systolic.datatypes import IntType
 
 if TYPE_CHECKING:
     from repro.systolic.dataflow import Dataflow

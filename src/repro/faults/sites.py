@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.systolic.datatypes import INT8, INT32, IntType
+from repro.datatypes import INT8, INT32, IntType
 
 __all__ = [
     "SIGNAL_A_REG",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.systolic.datatypes import INT8, IntType, wrap_array
+from repro.datatypes import INT8, IntType, wrap_array
 
 __all__ = ["Scratchpad"]
 

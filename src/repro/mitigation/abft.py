@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatypes import INT32, IntType, wrap_array
 from repro.ops.gemm import TiledGemm
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import INT32, IntType, wrap_array
 
 __all__ = [
     "NUM_PLANES",

@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.datatypes import wrap_array
 from repro.ops.tiling import plan_gemm_tiling, split_ranges
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import wrap_array
 
 __all__ = ["OffliningReport", "OffliningGemm"]
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datatypes import INT8, wrap_array
 from repro.nn.backends import Backend, ReferenceBackend
 from repro.nn.quantize import requantize_shift
-from repro.systolic.datatypes import INT8, wrap_array
 
 __all__ = ["Layer", "Conv2D", "Dense", "ReLU", "MaxPool2D", "Flatten"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.systolic.datatypes import INT8, IntType
+from repro.datatypes import INT8, IntType
 
 __all__ = ["quantize_symmetric", "requantize_shift", "dequantize"]
 

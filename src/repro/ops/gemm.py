@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatypes import wrap_array
 from repro.ops.tiling import TilingPlan, plan_gemm_tiling
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import wrap_array
 
 __all__ = ["GemmResult", "TiledGemm"]
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datatypes import INT8, INT32, IntType, wrap_array
 from repro.ops.im2col import ConvGeometry
-from repro.systolic.datatypes import INT8, INT32, IntType, wrap_array
 
 __all__ = ["reference_gemm", "reference_conv2d", "uniform_ones"]
 

@@ -23,7 +23,6 @@ from repro.systolic.dataflow import (
     OutputStationarySchedule,
     WeightStationarySchedule,
 )
-from repro.systolic.datatypes import INT8, INT16, INT32, UINT8, IntType
 from repro.systolic.functional import FunctionalSimulator
 from repro.systolic.mac import MacUnit
 from repro.systolic.pe import ProcessingElement
@@ -39,9 +38,4 @@ __all__ = [
     "FunctionalSimulator",
     "MacUnit",
     "ProcessingElement",
-    "IntType",
-    "INT8",
-    "INT16",
-    "INT32",
-    "UINT8",
 ]

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.datatypes import INT8, INT32, IntType
 from repro.faults.injector import NO_FAULTS, FaultInjector
-from repro.systolic.datatypes import INT8, INT32, IntType
 from repro.systolic.mac import MacUnit
 from repro.systolic.pe import ProcessingElement
 from repro.systolic.signals import SignalProbe

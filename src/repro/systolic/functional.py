@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datatypes import IntType, flip_bit_array, force_bit_array, wrap_array
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.faults.model import FaultDescriptor, StuckAtFault, TransientBitFlip
 from repro.faults.sites import (
@@ -35,12 +36,6 @@ from repro.faults.sites import (
 )
 from repro.systolic.array import MeshConfig
 from repro.systolic.dataflow import Dataflow
-from repro.systolic.datatypes import (
-    IntType,
-    flip_bit_array,
-    force_bit_array,
-    wrap_array,
-)
 
 __all__ = ["FunctionalSimulator"]
 

@@ -22,6 +22,7 @@ observes the post-fault values.
 
 from __future__ import annotations
 
+from repro.datatypes import INT8, INT32, IntType
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.faults.sites import (
     SIGNAL_A_REG,
@@ -29,7 +30,6 @@ from repro.faults.sites import (
     SIGNAL_PRODUCT,
     SIGNAL_SUM,
 )
-from repro.systolic.datatypes import INT8, INT32, IntType
 from repro.systolic.signals import SignalEvent, SignalProbe
 
 __all__ = ["MacUnit"]

@@ -8,10 +8,10 @@ from repro.checks.intervals import (
     TOP,
     verify_intervals,
 )
-from repro.systolic.datatypes import INT8, INT32
+from repro.datatypes import INT8, INT32
 
 REGISTRY = """
-    from repro.systolic.datatypes import INT8, INT32
+    from repro.datatypes import INT8, INT32
 
     SIGNAL_A_REG = "a_reg"
     SIGNAL_B_REG = "b_reg"
@@ -27,7 +27,7 @@ REGISTRY = """
     """
 
 CLEAN_MAC = """
-    from repro.systolic.datatypes import INT8, INT32
+    from repro.datatypes import INT8, INT32
     from repro.faults.sites import (
         SIGNAL_A_REG,
         SIGNAL_B_REG,

@@ -290,7 +290,7 @@ class TestDataclassContract:
 
     def test_explicit_frozen_false_fires(self, write_module):
         path = write_module(
-            "repro.systolic.datatypes",
+            "repro.datatypes",
             """
             from dataclasses import dataclass
 
@@ -310,7 +310,7 @@ class TestDataclassContract:
 
     def test_frozen_contract_class_is_clean(self, write_module):
         path = write_module(
-            "repro.systolic.datatypes",
+            "repro.datatypes",
             """
             from dataclasses import dataclass
 

@@ -11,12 +11,9 @@ import json
 
 import pytest
 
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    FaultSpec,
-    GemmWorkload,
-    ParallelExecutor,
+from repro.core.campaign import Campaign, ConvWorkload, FaultSpec, GemmWorkload
+from repro.core.executor import ParallelExecutor
+from repro.core.serialize import (
     experiment_from_record,
     experiment_record,
     read_checkpoint,

@@ -14,15 +14,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core import (
-    GOLDEN_CACHE,
+from repro.core.campaign import (
     Campaign,
     ConvWorkload,
     FillKind,
     GemmWorkload,
+    operand_seeds,
+)
+from repro.core.executor import (
+    GOLDEN_CACHE,
     ParallelExecutor,
     SerialExecutor,
-    operand_seeds,
     shard_sites,
 )
 from repro.systolic import Dataflow, MeshConfig

@@ -26,21 +26,17 @@ import time
 
 import pytest
 
-from repro.core import (
-    Campaign,
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosSpec
+from repro.core.executor import ParallelExecutor
+from repro.core.fabric import DistributedExecutor, WorkerAgent
+from repro.core.fabric.lease import LeaseTable
+from repro.core.resilience import (
     CampaignExecutionError,
-    ChaosAction,
-    ChaosSpec,
-    DistributedExecutor,
-    GemmWorkload,
-    ParallelExecutor,
     RetryPolicy,
     ShardTask,
-    WorkerAgent,
     WorkerLost,
-    read_checkpoint,
 )
-from repro.core.fabric.lease import LeaseTable
 from repro.core.serialize import (
     decode_frame,
     encode_frame,
@@ -48,6 +44,7 @@ from repro.core.serialize import (
     fabric_setup_record,
     lease_from_record,
     lease_record,
+    read_checkpoint,
 )
 from repro.obs import MetricsRegistry, Observability
 from repro.systolic import Dataflow, MeshConfig
@@ -466,10 +463,10 @@ class TestNetworkChaos:
 
 _SIGTERM_DRIVER = """\
 import sys, threading
-from repro.core import (
-    Campaign, CampaignInterrupted, ChaosAction, ChaosSpec,
-    DistributedExecutor, GemmWorkload, WorkerAgent,
-)
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosSpec
+from repro.core.fabric import DistributedExecutor, WorkerAgent
+from repro.core.resilience import CampaignInterrupted
 from repro.systolic import Dataflow, MeshConfig
 
 
@@ -506,9 +503,9 @@ if __name__ == "__main__":
 
 _CRASH_DRIVER = """\
 import sys
-from repro.core import (
-    Campaign, ChaosAction, ChaosSpec, DistributedExecutor, GemmWorkload,
-)
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosSpec
+from repro.core.fabric import DistributedExecutor
 from repro.systolic import Dataflow, MeshConfig
 
 if __name__ == "__main__":

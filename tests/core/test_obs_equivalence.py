@@ -12,7 +12,8 @@ from __future__ import annotations
 import io
 import os
 
-from repro.core import Campaign, GemmWorkload, ParallelExecutor, SerialExecutor
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.obs import MetricsRegistry, Observability, ProgressReporter, TraceRecorder
 from repro.systolic import Dataflow, MeshConfig
 

@@ -20,29 +20,27 @@ import time
 
 import pytest
 
-from repro.core import (
-    Campaign,
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosError, ChaosSpec
+from repro.core.executor import ParallelExecutor, _validate_shard
+from repro.core.reports import campaign_summary
+from repro.core.resilience import (
     CampaignInterrupted,
-    ChaosAction,
-    ChaosError,
-    ChaosSpec,
     CheckpointCorrupt,
     FailureKind,
     FailureRecord,
-    GemmWorkload,
-    ParallelExecutor,
     PoisonSite,
     RetryPolicy,
     ShardCrash,
     ShardTimeout,
+)
+from repro.core.serialize import (
+    campaign_to_dict,
     failure_from_record,
     failure_record,
     is_failure_record,
     read_checkpoint,
 )
-from repro.core.executor import _validate_shard
-from repro.core.reports import campaign_summary
-from repro.core.serialize import campaign_to_dict
 from repro.systolic import Dataflow, MeshConfig
 
 from tests.core._support import (
@@ -444,10 +442,10 @@ class TestCheckpointDurability:
 
 _DRIVER = """\
 import sys
-from repro.core import (
-    Campaign, CampaignInterrupted, ChaosAction, ChaosSpec, GemmWorkload,
-    ParallelExecutor,
-)
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.chaos import ChaosAction, ChaosSpec
+from repro.core.executor import ParallelExecutor
+from repro.core.resilience import CampaignInterrupted
 from repro.systolic import Dataflow, MeshConfig
 
 mesh = MeshConfig(rows=4, cols=4)

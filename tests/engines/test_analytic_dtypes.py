@@ -20,6 +20,7 @@ from repro.core.campaign import (
     FillKind,
     GemmWorkload,
 )
+from repro.datatypes import INT8, INT32
 from repro.engines.analytic.algebra import (
     FaultLens,
     os_chain_tile,
@@ -28,7 +29,6 @@ from repro.engines.analytic.algebra import (
 from repro.faults.sites import SIGNAL_SUM
 from repro.ops.im2col import ConvGeometry, im2col
 from repro.systolic import Dataflow, MeshConfig
-from repro.systolic.datatypes import INT8, INT32
 
 MESH = MeshConfig(rows=4, cols=4)
 

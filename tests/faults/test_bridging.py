@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.datatypes import INT32
 from repro.faults import BridgingFault, FaultInjector, FaultSet, FaultSite
 from repro.systolic import CycleSimulator, Dataflow, FunctionalSimulator, MeshConfig
-from repro.systolic.datatypes import INT32
 
 SITE = FaultSite(1, 2, "sum", 4)
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.datatypes import INT32
 from repro.faults.model import FaultSet, StuckAtFault, TransientBitFlip
 from repro.faults.sites import SIGNAL_SUM, FaultSite
-from repro.systolic.datatypes import INT32
 
 SITE = FaultSite(row=1, col=2, signal=SIGNAL_SUM, bit=4)
 

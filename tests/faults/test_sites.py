@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datatypes import INT8, INT32
 from repro.faults.sites import (
     MAC_SIGNALS,
     PAPER_FAULT_SIGNAL,
@@ -14,7 +15,6 @@ from repro.faults.sites import (
     enumerate_sites,
     signal_dtype,
 )
-from repro.systolic.datatypes import INT8, INT32
 
 
 class TestSignals:

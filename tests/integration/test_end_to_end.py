@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.appfi import AppLevelInjector, attach_permanent_fault
-from repro.core import Campaign, GemmWorkload, extract_pattern
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.fault_patterns import extract_pattern
 from repro.faults import FaultInjector, FaultSet, FaultSite, StuckAtFault
 from repro.gemmini import GemminiAccelerator
 from repro.nn import (

@@ -9,15 +9,10 @@ benchmark harness (which additionally prints the Fig. 3 artefacts).
 import numpy as np
 import pytest
 
-from repro.core import (
-    Campaign,
-    ConvWorkload,
-    GemmWorkload,
-    PatternClass,
-    corner_sites,
-    diagonal_sites,
-    predict_pattern,
-)
+from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.classifier import PatternClass
+from repro.core.predictor import predict_pattern
+from repro.core.sampling import corner_sites, diagonal_sites
 from repro.systolic import Dataflow, MeshConfig
 
 MESH = MeshConfig.paper()

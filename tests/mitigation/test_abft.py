@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datatypes import INT32, wrap_array
 from repro.faults import FaultInjector, FaultSite
 from repro.mitigation.abft import (
     AbftGemm,
@@ -11,7 +12,6 @@ from repro.mitigation.abft import (
 )
 from repro.ops.reference import reference_gemm
 from repro.systolic import Dataflow, FunctionalSimulator, MeshConfig
-from repro.systolic.datatypes import INT32, wrap_array
 
 MESH = MeshConfig(16, 16)
 OS = Dataflow.OUTPUT_STATIONARY

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.systolic.datatypes import (
+from repro.datatypes import (
     INT8,
     INT32,
     flip_bit_array,

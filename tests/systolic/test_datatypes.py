@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.systolic.datatypes import (
+from repro.datatypes import (
     INT8,
     INT16,
     INT32,

@@ -8,7 +8,9 @@ a stuck-at fault corrupts an output *row* — the dual of the WS column.
 import numpy as np
 import pytest
 
-from repro.core import Campaign, GemmWorkload, PatternClass, predict_pattern
+from repro.core.campaign import Campaign, GemmWorkload
+from repro.core.classifier import PatternClass
+from repro.core.predictor import predict_pattern
 from repro.gemmini import GemminiAccelerator
 from repro.ops import TiledGemm, reference_gemm
 from repro.systolic import (

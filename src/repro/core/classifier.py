@@ -39,11 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fault_patterns import FaultPattern
+from repro.ops.im2col import ConvGeometry
 from repro.ops.tiling import TilingPlan
 
 __all__ = [
     "PatternClass",
     "Classification",
+    "classify_batch",
     "classify_cells",
     "classify_pattern",
     "classify_mask",
@@ -93,87 +95,140 @@ class Classification:
     corrupted_channels: tuple[int, ...] = ()
 
 
-def _tile_of(row: int, col: int, plan: TilingPlan) -> tuple[int, int, int, int]:
-    """Map a global output cell to (m_tile, n_tile, local_row, local_col)."""
-    m_tile, local_row = divmod(row, plan.tile_m)
-    n_tile, local_col = divmod(col, plan.tile_n)
-    return m_tile, n_tile, local_row, local_col
+def _by_site(
+    sites: np.ndarray, keys: np.ndarray, space: int, num_sites: int
+) -> tuple[np.ndarray, list[int]]:
+    """Per site, the sorted distinct ``keys`` (each in ``[0, space)``).
+
+    Returns every site's distinct keys concatenated in site order, and
+    how many belong to each site. One ``(site, key)`` presence mask
+    covers the whole batch; ``space`` is an output extent, so the mask
+    is never larger than the sites' stacked output.
+    """
+    present = np.zeros((num_sites, space), dtype=bool)
+    present[sites, keys] = True
+    packed = np.flatnonzero(present)
+    return packed % space, np.count_nonzero(present, axis=1).tolist()
 
 
-def _classify_gemm(mask: np.ndarray, plan: TilingPlan) -> Classification:
-    """Structural classification in GEMM output space."""
-    rows, cols = np.where(mask)
-    return classify_cells(rows, cols, plan)
+def _split(items: list, counts: list[int]) -> list[tuple]:
+    """Cut ``items`` into consecutive per-site tuples of ``counts``."""
+    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).tolist()
+    return [tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pairs(keys: np.ndarray, minor: int) -> list[tuple[int, int]]:
+    """Unpack ``major * minor + rest`` keys into ``(major, rest)`` ints."""
+    major, rest = np.divmod(keys, minor)
+    return list(zip(major.tolist(), rest.tolist()))
+
+
+def classify_batch(
+    site_of_cell: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    num_sites: int,
+    plan: TilingPlan,
+    geometry: ConvGeometry | None = None,
+) -> list[Classification]:
+    """Classify a whole batch of sites from their corrupted GEMM cells.
+
+    Cell ``i`` at GEMM coordinates ``(rows[i], cols[i])`` belongs to
+    site ``site_of_cell[i]`` in ``[0, num_sites)``; a site without cells
+    is ``MASKED``. Tile and within-tile coordinates come from one
+    integer division and every per-site set from one presence mask over
+    (site, key) pairs, so the cost is a few numpy passes over the
+    cells, not a Python step per cell. With ``geometry`` the cells
+    are a lowered convolution's, whose GEMM columns are its output
+    channels: one corrupted channel is ``SINGLE_CHANNEL``, several are
+    ``MULTI_CHANNEL``, matching how the paper reads Fig. 3e-3g.
+
+    Returns one :class:`Classification` per site, in site order. These
+    are the taxonomy's only rules: every other entry point of this
+    module is a single-site call of this function.
+    """
+    sites = np.asarray(site_of_cell, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n_tiles = len(plan.n_tiles)
+    m_tile, local_row = np.divmod(rows, plan.tile_m)
+    n_tile, local_col = np.divmod(cols, plan.tile_n)
+    cells = np.bincount(sites, minlength=num_sites).tolist()
+    tile_keys, tile_counts = _by_site(
+        sites, m_tile * n_tiles + n_tile, len(plan.m_tiles) * n_tiles, num_sites
+    )
+    local_keys, local_counts = _by_site(
+        sites, local_row * plan.tile_n + local_col,
+        plan.tile_m * plan.tile_n, num_sites,
+    )
+    global_cols, col_counts = _by_site(sites, cols, plan.n, num_sites)
+    _, local_col_counts = _by_site(sites, local_col, plan.tile_n, num_sites)
+    _, local_row_counts = _by_site(sites, local_row, plan.tile_m, num_sites)
+    _, row_counts = _by_site(sites, rows, plan.m, num_sites)
+    tiles = _split(_pairs(tile_keys, n_tiles), tile_counts)
+    locals_ = _split(_pairs(local_keys, plan.tile_n), local_counts)
+    channels = _split(global_cols.tolist(), col_counts)
+
+    results: list[Classification] = []
+    for site, count in enumerate(cells):
+        if count == 0:
+            results.append(Classification(pattern_class=PatternClass.MASKED))
+            continue
+        if geometry is not None:
+            results.append(Classification(
+                pattern_class=(
+                    PatternClass.SINGLE_CHANNEL
+                    if len(channels[site]) == 1
+                    else PatternClass.MULTI_CHANNEL
+                ),
+                corrupted_channels=channels[site],
+                corrupted_tiles=tiles[site],
+            ))
+            continue
+        if count == 1:
+            # One corrupted cell overall: the OS untiled signature.
+            pattern_class = PatternClass.SINGLE_ELEMENT
+        elif len(locals_[site]) == 1 and count == len(tiles[site]) > 1:
+            # One corrupted cell per tile, identical local coordinates:
+            # OS tiled.
+            pattern_class = PatternClass.SINGLE_ELEMENT_MULTI_TILE
+        elif local_col_counts[site] == 1:
+            # All corruption in one physical (local) column.
+            pattern_class = (
+                PatternClass.SINGLE_COLUMN
+                if col_counts[site] == 1
+                else PatternClass.SINGLE_COLUMN_MULTI_TILE
+            )
+        elif local_row_counts[site] == 1:
+            # All corruption in one physical (local) row: the IS
+            # dataflow's dual.
+            pattern_class = (
+                PatternClass.SINGLE_ROW
+                if row_counts[site] == 1
+                else PatternClass.SINGLE_ROW_MULTI_TILE
+            )
+        else:
+            pattern_class = PatternClass.OTHER
+        results.append(Classification(
+            pattern_class=pattern_class,
+            corrupted_tiles=tiles[site],
+            local_cells=locals_[site],
+        ))
+    return results
 
 
 def classify_cells(
     rows: np.ndarray, cols: np.ndarray, plan: TilingPlan
 ) -> Classification:
-    """Classify corrupted GEMM cell coordinates directly.
+    """Classify one site's corrupted GEMM cell coordinates directly.
 
-    Identical rules to :func:`classify_mask`, minus the ``np.where`` —
-    for callers that already hold the corrupted coordinates, notably the
-    analytic engine, which extracts every site's nonzero cells from one
-    batched pass and classifies each site without re-scanning its mask.
+    :func:`classify_batch` for a single site — for callers that already
+    hold the corrupted coordinates.
     """
-    if rows.size == 0:
-        return Classification(pattern_class=PatternClass.MASKED)
-
-    # One corrupted cell overall (the OS untiled signature) needs no set
-    # machinery; exhaustive OS sweeps hit this for every site.
-    if rows.size == 1:
-        m_tile, n_tile, local_row, local_col = _tile_of(
-            int(rows[0]), int(cols[0]), plan
-        )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ELEMENT,
-            corrupted_tiles=((m_tile, n_tile),),
-            local_cells=((local_row, local_col),),
-        )
-
-    tiles: set[tuple[int, int]] = set()
-    locals_: set[tuple[int, int]] = set()
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        m_tile, n_tile, local_row, local_col = _tile_of(row, col, plan)
-        tiles.add((m_tile, n_tile))
-        locals_.add((local_row, local_col))
-
-    local_cols = {c for _, c in locals_}
-    evidence = dict(
-        corrupted_tiles=tuple(sorted(tiles)),
-        local_cells=tuple(sorted(locals_)),
-    )
-
-    # One corrupted cell per tile, identical local coordinates: OS tiled.
-    if len(locals_) == 1 and rows.size == len(tiles) and len(tiles) > 1:
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ELEMENT_MULTI_TILE, **evidence
-        )
-
-    # All corruption in one physical (local) column.
-    if len(local_cols) == 1:
-        global_cols = set(cols.tolist())
-        if len(global_cols) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_COLUMN, **evidence
-            )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_COLUMN_MULTI_TILE, **evidence
-        )
-
-    # All corruption in one physical (local) row: the IS dataflow's dual.
-    local_rows = {r for r, _ in locals_}
-    if len(local_rows) == 1:
-        global_rows = set(rows.tolist())
-        if len(global_rows) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_ROW, **evidence
-            )
-        return Classification(
-            pattern_class=PatternClass.SINGLE_ROW_MULTI_TILE, **evidence
-        )
-
-    return Classification(pattern_class=PatternClass.OTHER, **evidence)
+    rows = np.asarray(rows, dtype=np.int64)
+    return classify_batch(
+        np.zeros(rows.shape, dtype=np.int64), rows, cols, 1, plan
+    )[0]
 
 
 def classify_mask(mask: np.ndarray, plan: TilingPlan) -> Classification:
@@ -186,7 +241,8 @@ def classify_mask(mask: np.ndarray, plan: TilingPlan) -> Classification:
     degenerate shapes (e.g. a one-row output, where a "full column" and a
     "single element" are the same set of cells).
     """
-    return _classify_gemm(np.asarray(mask, dtype=bool), plan)
+    rows, cols = np.nonzero(np.asarray(mask, dtype=bool))
+    return classify_cells(rows, cols, plan)
 
 
 def classify_pattern(pattern: FaultPattern) -> Classification:
@@ -201,32 +257,19 @@ def classify_pattern(pattern: FaultPattern) -> Classification:
     Raises
     ------
     ValueError
-        If the pattern carries no tiling plan (required for GEMM
-        classification).
+        If the pattern carries no tiling plan (required for GEMM and
+        convolution classification alike).
     """
-    if pattern.is_conv:
-        channels = pattern.corrupted_channels()
-        # Evidence in GEMM space is still useful for diagnostics.
-        gemm_evidence: tuple[tuple[int, int], ...] = ()
-        if pattern.plan is not None:
-            gemm = _classify_gemm(pattern.gemm_mask(), pattern.plan)
-            gemm_evidence = gemm.corrupted_tiles
-        if not channels:
-            return Classification(pattern_class=PatternClass.MASKED)
-        if len(channels) == 1:
-            return Classification(
-                pattern_class=PatternClass.SINGLE_CHANNEL,
-                corrupted_channels=channels,
-                corrupted_tiles=gemm_evidence,
-            )
-        return Classification(
-            pattern_class=PatternClass.MULTI_CHANNEL,
-            corrupted_channels=channels,
-            corrupted_tiles=gemm_evidence,
-        )
-
     if pattern.plan is None:
         raise ValueError(
-            "GEMM pattern classification requires the run's tiling plan"
+            "pattern classification requires the run's tiling plan"
         )
-    return _classify_gemm(pattern.gemm_mask(), pattern.plan)
+    rows, cols = np.nonzero(pattern.gemm_mask())
+    return classify_batch(
+        np.zeros(rows.shape, dtype=np.int64),
+        rows,
+        cols,
+        1,
+        pattern.plan,
+        pattern.geometry,
+    )[0]

@@ -117,6 +117,11 @@ def _failure(record: _Quarantine) -> FailureRecord:
 # -- Archival artefact and fault dictionary ----------------------------
 
 
+def _gemm_cells(pattern: FaultPattern) -> list[list[int]]:
+    """The corrupted ``[row, col]`` cells of a pattern in GEMM space."""
+    return np.argwhere(pattern.gemm_mask()).tolist()
+
+
 def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
     """Serialise a campaign result to JSON-compatible primitives: the
     golden output by shape only, each experiment with its corrupted
@@ -141,9 +146,7 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 "num_corrupted": e.num_corrupted,
                 "max_abs_deviation": e.max_abs_deviation,
                 "corrupted_cells": (
-                    [list(cell) for cell in e.pattern.corrupted_cells()]
-                    if e.pattern is not None
-                    else None
+                    _gemm_cells(e.pattern) if e.pattern is not None else None
                 ),
             }
             for e in result.experiments
@@ -157,7 +160,7 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
 def save_campaign(result: CampaignResult, path: str | Path) -> Path:
     """Write a campaign result as JSON; returns the written path."""
     path = Path(path)
-    path.write_text(json.dumps(campaign_to_dict(result), indent=2))
+    path.write_text(json.dumps(campaign_to_dict(result)))
     return path
 
 
@@ -185,9 +188,7 @@ def fault_dictionary(result: CampaignResult) -> dict[str, Any]:
             "num_corrupted": experiment.num_corrupted,
         }
         if experiment.pattern is not None:
-            entry["cells"] = [
-                list(cell) for cell in experiment.pattern.corrupted_cells()
-            ]
+            entry["cells"] = _gemm_cells(experiment.pattern)
             if experiment.pattern.is_conv:
                 entry["channels"] = list(experiment.pattern.corrupted_channels())
         entries[f"{experiment.site.row},{experiment.site.col}"] = entry
@@ -208,7 +209,7 @@ def fault_dictionary(result: CampaignResult) -> dict[str, Any]:
 def save_fault_dictionary(result: CampaignResult, path: str | Path) -> Path:
     """Write the fault dictionary as JSON; returns the written path."""
     path = Path(path)
-    path.write_text(json.dumps(fault_dictionary(result), indent=2))
+    path.write_text(json.dumps(fault_dictionary(result)))
     return path
 
 
@@ -273,7 +274,7 @@ class _Experiment:
     num_corrupted: int
     max_abs_deviation: int
     #: ``[*coords, deviation]`` per corrupted element. The bulky field: a
-    #: bare ``list``, so its elements go unchecked to the densify loop.
+    #: bare ``list``, checked as one integer array when densified.
     cells: list | None
 
 
@@ -293,10 +294,9 @@ def experiment_record(experiment: ExperimentResult) -> dict[str, Any]:
     cells: list[list[int]] | None = None
     if experiment.pattern is not None:
         pattern = experiment.pattern
-        cells = [
-            [*(int(c) for c in coords), int(pattern.deviation[tuple(coords)])]
-            for coords in np.argwhere(pattern.mask)
-        ]
+        cells = np.column_stack(
+            [np.argwhere(pattern.mask), pattern.deviation[pattern.mask]]
+        ).tolist()
     return encode(_Experiment(
         site=experiment.site,
         classification=experiment.classification,
@@ -325,9 +325,14 @@ def experiment_from_record(
     pattern: FaultPattern | None = None
     if parsed.cells is not None and shape is not None:
         deviation = np.zeros(shape, dtype=np.int64)
-        for entry in parsed.cells:
-            *coords, value = entry
-            deviation[tuple(coords)] = value
+        if parsed.cells:
+            cells = np.asarray(parsed.cells)
+            if cells.dtype.kind != "i" or cells.shape[1:] != (len(shape) + 1,):
+                raise ValueError(
+                    f"cells must be [*coords, deviation] integer lists of "
+                    f"length {len(shape) + 1}"
+                )
+            deviation[tuple(cells[:, :-1].T)] = cells[:, -1]
         pattern = FaultPattern(
             mask=deviation != 0, deviation=deviation, plan=plan, geometry=geometry
         )

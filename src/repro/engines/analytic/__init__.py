@@ -7,7 +7,7 @@ the golden output plus a delta that the dataflow algebra yields in
 closed form. This package computes those deltas in vectorised batches:
 
 * :mod:`~repro.engines.analytic.algebra` — the per-dataflow delta
-  kernels (OS cycle recurrence, WS prefix/force/suffix closed form, IS
+  kernels (OS cycle recurrence, WS two-matmul closed form, IS
   via transposition), bit-exact against the simulation engines.
 * :mod:`~repro.engines.analytic.engine` — :func:`evaluate_batch`, the
   batched evaluator campaigns dispatch to, with per-site fallback to the

@@ -13,17 +13,17 @@ FunctionalSimulator` (itself pinned bit-identical to the cycle engine):
   the chain of wrapped additions collapses (associativity of modular
   addition) to one vectorised sum of forced products — no loop at all.
   A stuck SUM bit forces *between* the additions; that recurrence is
-  irreducible per cycle, but still vectorises over *sites*: one numpy
-  step per mesh cycle covers the whole batch, instead of one Python
-  loop per site. Idle (fill/drain) cycles are included — a stuck
+  irreducible per cycle, but still vectorises over (site, output tile)
+  pairs: one numpy step per mesh cycle covers every tile of one shape
+  for the whole batch. Idle (fill/drain) cycles are included — a stuck
   product or operand register perturbs them too.
 * **WS** (:func:`ws_chain_tile`) — the partial sum of every output row
   traverses all mesh rows of the faulty column, but forcing happens at
-  exactly one row, and wrapped addition is associative
+  exactly one row, and wrapped addition is a ring homomorphism
   (``wrap(wrap(x) + y) == wrap(x + y)``). The chain therefore collapses
-  to ``wrap(force(wrap(state + prefix + p_i)) + suffix)`` with the
-  prefix/suffix sums taken from one cumulative-sum tensor — fully
-  vectorised over output rows *and* sites, no per-cycle loop at all.
+  to ``wrap(force(state + incl) + total - incl)`` with ``incl`` and
+  ``total`` two int64 matmuls — fully vectorised over every output row
+  *and* site, no per-cycle loop at all.
 * **IS** rides :func:`ws_chain_tile` on the transposed problem, exactly
   as the engines do.
 
@@ -77,63 +77,98 @@ def os_chain_tile(
     rows: np.ndarray,
     cols: np.ndarray,
     lens: FaultLens,
+    *,
+    skew: np.ndarray | None = None,
+    tile_shape: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Advance per-site OS accumulators through one reduction tile.
+    """Advance OS accumulators through one reduction tile.
+
+    One entry per (site, output tile) pair: the engine batches every
+    tile of one shape into a single call, so ``rows``/``cols`` index the
+    whole operands with global coordinates while ``skew`` keeps each
+    pair's position inside its own tile.
 
     Parameters
     ----------
     acc:
-        int64 ``(S,)`` — each site's accumulator value entering this
+        int64 ``(P,)`` — each pair's accumulator value entering this
         reduction tile: the chained partial of the preceding tiles,
         exactly the bias the engine would receive.
     a_tile, b_tile:
-        The wrapped operand tiles ``(mt, kt)`` and ``(kt, nt)``.
+        The wrapped operand slices ``(M, kt)`` and ``(kt, N)`` of this
+        reduction tile.
     rows, cols:
-        int64 ``(S,)`` MAC coordinates per site; every site must satisfy
-        ``rows < mt`` and ``cols < nt`` (callers filter inactive sites).
+        int64 ``(P,)`` — the output element each pair accumulates, as a
+        row of ``a_tile`` and a column of ``b_tile``.
     lens:
         The stuck-at family being forced.
+    skew:
+        int64 ``(P,)`` — ``r + c`` of the pair's PE within its output
+        tile, the cycle its first reduction step arrives. Defaults to
+        ``rows + cols`` (the operands are one output tile).
+    tile_shape:
+        ``(mt, nt)`` of every pair's output tile. Defaults to
+        ``(M, N)``.
 
-    Returns the ``(S,)`` accumulators after the tile's full cycle count
+    Returns the ``(P,)`` accumulators after the tile's full cycle count
     ``(mt-1) + (nt-1) + kt`` — including the idle cycles during pipeline
     fill/drain, whose zero operands still pass the forced datapath.
     """
-    mt, kt = a_tile.shape
-    nt = b_tile.shape[1]
-    total = (mt - 1) + (nt - 1) + max(kt, 1)
-    # Per-site operand streams: at cycle t, PE (r, c) sees reduction step
-    # t - r - c; steps outside [0, kt) are idle and stream zeros. Forcing
-    # an operand register applies to idle zeros too, so force *after* the
-    # zero fill, over the whole (S, total) stream at once.
-    steps = np.arange(total, dtype=np.int64)[None, :] - (rows + cols)[:, None]
-    live = (steps >= 0) & (steps < kt)
-    index = np.clip(steps, 0, kt - 1)
-    av = np.where(live, a_tile[rows[:, None], index], 0)
-    bv = np.where(live, b_tile[index, cols[:, None]], 0)
-    if lens.signal == SIGNAL_A_REG:
-        av = force_bit_array(av, lens.bit, lens.stuck, lens.input_dtype)
-    elif lens.signal == SIGNAL_B_REG:
-        bv = force_bit_array(bv, lens.bit, lens.stuck, lens.input_dtype)
-    products = wrap_array(av * bv, lens.acc_dtype)
-    if lens.signal == SIGNAL_PRODUCT:
-        products = force_bit_array(
-            products, lens.bit, lens.stuck, lens.acc_dtype
-        )
+    kt = a_tile.shape[1]
+    if tile_shape is None:
+        tile_shape = (a_tile.shape[0], b_tile.shape[1])
+    mt, nt = tile_shape
+    if skew is None:
+        skew = rows + cols
+    idle = (mt - 1) + (nt - 1)
+    # Each pair's operands over its kt live reduction steps; at cycle t,
+    # PE (r, c) sees step t - r - c, and the idle (fill/drain) cycles
+    # around those steps stream zeros.
+    av = a_tile[rows]
+    bv = b_tile[:, cols].T
     acc = np.asarray(acc, dtype=np.int64)
     if lens.signal != SIGNAL_SUM:
         # Forcing touched only the products, so the accumulator is a
         # plain chain of wrapped additions — which collapses by the
         # associativity of modular addition: wrap(... wrap(p_0 + acc)
-        # ... + p_T) == wrap(sum(p_t) + acc). No per-cycle loop.
-        return wrap_array(products.sum(axis=1) + acc, lens.acc_dtype)
+        # ... + p_T) == wrap(sum(p_t) + acc). No per-cycle loop. A
+        # forced operand or product register perturbs the idle cycles'
+        # zero operands too, each by the same forced product of zeros.
+        zero = np.zeros(1, dtype=np.int64)
+        idle_product = _forced_product(zero, zero, lens)
+        live = _forced_product(av, bv, lens).sum(axis=1)
+        return wrap_array(live + idle * idle_product + acc, lens.acc_dtype)
     # SUM faults force *between* the additions; the recurrence is
-    # irreducible, but one forced step per mesh cycle covers every site
-    # (force re-masks its input, so force(wrap(x)) == force(x)).
-    for cycle in range(total):
+    # irreducible, but one forced step per mesh cycle covers every pair.
+    # The per-product wrap is dropped: force re-masks its input, so
+    # force(wrap(x)) == force(x).
+    stream = np.zeros((len(acc), idle + kt), dtype=np.int64)
+    stream[
+        np.arange(len(acc), dtype=np.int64)[:, None],
+        skew[:, None] + np.arange(kt, dtype=np.int64)[None, :],
+    ] = av * bv
+    for cycle in range(idle + kt):
         acc = force_bit_array(
-            products[:, cycle] + acc, lens.bit, lens.stuck, lens.acc_dtype
+            stream[:, cycle] + acc, lens.bit, lens.stuck, lens.acc_dtype
         )
     return acc
+
+
+def _forced_product(
+    av: np.ndarray, bv: np.ndarray, lens: FaultLens
+) -> np.ndarray:
+    """The wrapped product of two operand streams through the lens's
+    forced A-register, B-register or product wire."""
+    if lens.signal == SIGNAL_A_REG:
+        av = force_bit_array(av, lens.bit, lens.stuck, lens.input_dtype)
+    elif lens.signal == SIGNAL_B_REG:
+        bv = force_bit_array(bv, lens.bit, lens.stuck, lens.input_dtype)
+    product = wrap_array(av * bv, lens.acc_dtype)
+    if lens.signal == SIGNAL_PRODUCT:
+        product = force_bit_array(
+            product, lens.bit, lens.stuck, lens.acc_dtype
+        )
+    return product
 
 
 def ws_chain_tile(
@@ -150,10 +185,12 @@ def ws_chain_tile(
     Parameters
     ----------
     col_state:
-        int64 ``(mt, S)`` — site ``s``'s faulty output column entering
+        int64 ``(M, S)`` — site ``s``'s faulty output column entering
         this reduction tile (the bias column the engine would receive).
+        Output rows are independent, so ``M`` may span every output
+        row of the GEMM, not just one tile's.
     a_tile, w_tile:
-        The wrapped activation ``(mt, kt)`` and weight ``(kt, nt)``
+        The wrapped activation ``(M, kt)`` and weight ``(kt, nt)``
         tiles.
     site_rows, site_cols:
         int64 ``(S,)`` MAC coordinates; every site must satisfy
@@ -163,60 +200,43 @@ def ws_chain_tile(
     mesh_rows:
         Physical mesh row count — the length of the partial-sum chain.
 
-    Returns the ``(mt, S)`` faulty columns after the tile. The closed
-    form: with ``prefix``/``suffix`` the wrapped-product sums of the
-    rows before/after the fault row, the chain of wrapped additions
-    collapses (associativity of modular addition) to one forced step::
+    Returns the ``(M, S)`` faulty columns after the tile. The partial
+    sum of every output row passes the mesh rows of the site's column
+    in order, and the fault forces it at exactly one of them. With
+    ``incl`` the products of the rows up to and including the fault row
+    and ``total`` those of every row, both one int64 matmul::
 
-        psum  = wrap(col_state + prefix + product_at_fault_row)
-        psum  = force(psum)                      # SUM faults only
-        final = wrap(psum + suffix)
+        psum  = force(col_state + incl)          # SUM faults
+        final = wrap(psum + total - incl)
 
-    with the fault-row product itself recomputed from forced operands
-    for A-register / B-register / product faults. A fault row >= ``kt``
-    streams zero operands, but a forced *product* is still nonzero —
-    which is why the product is forced after zeroing, never masked.
+    and for A-register / B-register / product faults, which change only
+    the fault row's product, ``final = wrap(col_state + total - healthy
+    + forced)``. The per-product wraps of the hardware are dropped:
+    ``wrap`` is a ring homomorphism from int64 (mod 2**64) onto the
+    accumulator type, and every term passes a later wrap or force. A
+    fault row >= ``kt`` streams zero operands, but a forced *product* is
+    still nonzero — which is why the product is forced after zeroing,
+    never masked.
     """
-    mt, kt = a_tile.shape
+    kt = a_tile.shape[1]
     if mesh_rows < kt:
         raise ValueError(
             f"weight tile of {kt} rows exceeds the {mesh_rows}-row mesh"
         )
-    num_sites = len(site_cols)
-    sidx = np.arange(num_sites, dtype=np.int64)
-    # Wrapped product contributions prods[m, j, s] = wrap(A[m,j] * W[j,c_s])
-    # for mesh rows j < kt; rows beyond the weight tile contribute zero.
-    prods = wrap_array(
-        a_tile[:, :, None] * w_tile[:, site_cols][None, :, :], lens.acc_dtype
-    )
-    csum = np.concatenate(
-        [
-            np.zeros((mt, 1, num_sites), dtype=np.int64),
-            np.cumsum(prods, axis=1),
-        ],
-        axis=1,
-    )
+    w_sites = w_tile[:, site_cols]
+    total = a_tile @ w_sites
+    if lens.signal == SIGNAL_SUM:
+        upto = np.arange(kt, dtype=np.int64)[:, None] <= site_rows[None, :]
+        incl = a_tile @ (w_sites * upto)
+        # force re-masks its input, so force(wrap(x)) == force(x).
+        psum = force_bit_array(
+            col_state + incl, lens.bit, lens.stuck, lens.acc_dtype
+        )
+        return wrap_array(psum + (total - incl), lens.acc_dtype)
     live = site_rows < kt
     at_idx = np.where(live, site_rows, 0)
-    prefix = csum[:, np.minimum(site_rows, kt), sidx]
-    total = csum[:, kt, :]
-    prod_at = np.where(live[None, :], prods[:, at_idx, sidx], 0)
-    suffix = total - prefix - prod_at
-    if lens.signal == SIGNAL_SUM:
-        product = prod_at
-    else:
-        av = np.where(live[None, :], a_tile[:, at_idx], 0)
-        wv = np.where(live, w_tile[at_idx, site_cols], 0)
-        if lens.signal == SIGNAL_A_REG:
-            av = force_bit_array(av, lens.bit, lens.stuck, lens.input_dtype)
-        elif lens.signal == SIGNAL_B_REG:
-            wv = force_bit_array(wv, lens.bit, lens.stuck, lens.input_dtype)
-        product = wrap_array(av * wv[None, :], lens.acc_dtype)
-        if lens.signal == SIGNAL_PRODUCT:
-            product = force_bit_array(
-                product, lens.bit, lens.stuck, lens.acc_dtype
-            )
-    psum = wrap_array(col_state + prefix + product, lens.acc_dtype)
-    if lens.signal == SIGNAL_SUM:
-        psum = force_bit_array(psum, lens.bit, lens.stuck, lens.acc_dtype)
-    return wrap_array(psum + suffix, lens.acc_dtype)
+    av = np.where(live[None, :], a_tile[:, at_idx], 0)
+    wv = np.where(live, w_tile[at_idx, site_cols], 0)
+    healthy = av * wv[None, :]
+    forced = _forced_product(av, wv[None, :], lens)
+    return wrap_array(col_state + total - healthy + forced, lens.acc_dtype)

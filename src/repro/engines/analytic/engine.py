@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.campaign import Campaign, ExperimentResult
-from repro.core.classifier import classify_cells, classify_pattern
+from repro.core.classifier import classify_batch
 from repro.core.fault_patterns import FaultPattern
 from repro.datatypes import wrap_array
 from repro.engines.analytic.algebra import (
@@ -37,7 +37,7 @@ from repro.faults.model import FaultDescriptor
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_RECORDER
 from repro.ops.im2col import ConvGeometry, im2col, kernel_to_matrix
-from repro.ops.tiling import TilingPlan
+from repro.ops.tiling import TileRange, TilingPlan
 from repro.systolic.dataflow import Dataflow
 
 __all__ = [
@@ -228,16 +228,17 @@ def _evaluate_closed_form(
     mask_out = dev_out != 0
 
     # One batched pass over the whole deviation tensor replaces the
-    # per-site mask scans (sum / abs-max / np.where each cost a numpy
-    # dispatch; at hundreds of sites that overhead rivals the kernels).
-    # ``deviation`` is GEMM-spaced for GEMM and conv alike, counts and
-    # maxima are layout-invariant, and ``np.nonzero`` on the 3-D stack
-    # yields every site's cells grouped in site order.
+    # per-site mask scans and classifications (each a numpy dispatch or
+    # a Python loop; at hundreds of sites that overhead rivals the
+    # kernels). ``deviation`` is GEMM-spaced for GEMM and conv alike,
+    # counts and maxima are layout-invariant, and ``np.nonzero`` on the
+    # 3-D stack yields every site's cells grouped in site order.
     gemm_mask = deviation != 0
-    counts = gemm_mask.sum(axis=(1, 2), dtype=np.int64)
-    maxima = np.abs(deviation).max(axis=(1, 2))
-    _, cell_rows, cell_cols = np.nonzero(gemm_mask)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    counts = gemm_mask.sum(axis=(1, 2), dtype=np.int64).tolist()
+    maxima = np.abs(deviation).max(axis=(1, 2)).tolist()
+    classifications = classify_batch(
+        *np.nonzero(gemm_mask), len(supported), plan, geometry
+    )
 
     for position, index in enumerate(supported):
         pattern = FaultPattern(
@@ -246,18 +247,11 @@ def _evaluate_closed_form(
             plan=plan,
             geometry=geometry,
         )
-        if geometry is None:
-            lo, hi = offsets[position], offsets[position + 1]
-            classification = classify_cells(
-                cell_rows[lo:hi], cell_cols[lo:hi], plan
-            )
-        else:
-            classification = classify_pattern(pattern)
         results[index] = ExperimentResult(
             site=faults[index].site,
-            classification=classification,
-            num_corrupted=int(counts[position]),
-            max_abs_deviation=int(maxima[position]) if counts[position] else 0,
+            classification=classifications[position],
+            num_corrupted=counts[position],
+            max_abs_deviation=maxima[position],
             pattern=pattern if campaign.keep_patterns else None,
         )
 
@@ -277,87 +271,121 @@ def _group_deviation(
 ) -> None:
     """Scatter one lens group's per-site deltas into ``deviation``.
 
-    Walks the tiling plan exactly as :class:`~repro.ops.gemm.TiledGemm`
-    does — output tiles in row-major order, reduction tiles chained
-    through each output tile's accumulator — advancing every site's
-    faulty state with the dataflow's kernel, then writes
+    Follows the tiling plan as :class:`~repro.ops.gemm.TiledGemm` does —
+    reduction tiles chained through each output tile's accumulator —
+    but batches whole tile families into each kernel call, then writes
     ``faulty - golden`` at the coordinates the fault reaches. Sites
-    architecturally masked for a tile's shape (its MAC falls outside the
-    occupied mesh region) are simply skipped: their delta stays zero.
+    architecturally masked for a tile's shape (their MAC falls outside
+    the occupied mesh region) are simply skipped: their delta stays
+    zero.
     """
+    if dataflow is Dataflow.OUTPUT_STATIONARY:
+        _os_deviation(
+            deviation, positions, rows, cols, a, b, gemm_golden, plan, lens
+        )
+    elif dataflow is Dataflow.WEIGHT_STATIONARY:
+        _ws_deviation(
+            deviation, positions, rows, cols, a, b, gemm_golden,
+            plan.n_tiles, plan.k_tiles, mesh_rows, lens,
+        )
+    elif dataflow is Dataflow.INPUT_STATIONARY:
+        # IS is WS on the transposed problem (as in the engines): mesh
+        # column c computes output *row* c of every row tile.
+        _ws_deviation(
+            deviation.transpose(0, 2, 1), positions, rows, cols, b.T, a.T,
+            gemm_golden.T, plan.m_tiles, plan.k_tiles, mesh_rows, lens,
+        )
+    else:
+        raise ValueError(f"unsupported dataflow: {dataflow!r}")
+
+
+def _ws_deviation(
+    deviation: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    a: np.ndarray,
+    w: np.ndarray,
+    golden: np.ndarray,
+    col_tiles: tuple[TileRange, ...],
+    k_tiles: tuple[TileRange, ...],
+    mesh_rows: int,
+    lens: FaultLens,
+) -> None:
+    """WS deltas: mesh column c computes output column c of every column
+    tile. Output rows are independent, so one kernel call per (column
+    tile, reduction tile) covers every output row and every site."""
+    for n_range in col_tiles:
+        active = cols < n_range.size
+        if not active.any():
+            continue
+        r = rows[active]
+        c = cols[active]
+        state = np.zeros((a.shape[0], len(c)), dtype=np.int64)
+        for k_range in k_tiles:
+            state = ws_chain_tile(
+                state,
+                a[:, k_range.start : k_range.stop],
+                w[k_range.start : k_range.stop, n_range.start : n_range.stop],
+                r,
+                c,
+                mesh_rows,
+                lens,
+            )
+        out_cols = n_range.start + c
+        deviation[positions[active], :, out_cols] = (
+            state - golden[:, out_cols]
+        ).T
+
+
+def _os_deviation(
+    deviation: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    golden: np.ndarray,
+    plan: TilingPlan,
+    lens: FaultLens,
+) -> None:
+    """OS deltas: PE (r, c) owns element (r, c) of every output tile.
+
+    Output tiles come in at most four shapes (full or ragged in each of
+    m and n); every (site, tile) pair of one shape advances through one
+    kernel call per reduction tile, addressed by its global output
+    coordinates and its local skew ``r + c``.
+    """
+    shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m_range, n_range in plan.output_tiles():
-        mt = m_range.size
-        nt = n_range.size
-        g_tile = gemm_golden[
-            m_range.start : m_range.stop, n_range.start : n_range.stop
-        ]
-        a_rows = a[m_range.start : m_range.stop]
-        b_cols = b[:, n_range.start : n_range.stop]
-        if dataflow is Dataflow.OUTPUT_STATIONARY:
-            # PE (r, c) owns element (r, c) of every output tile.
-            active = (rows < mt) & (cols < nt)
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros(len(r), dtype=np.int64)
-            for k_range in plan.k_tiles:
-                state = os_chain_tile(
-                    state,
-                    a_rows[:, k_range.start : k_range.stop],
-                    b_cols[k_range.start : k_range.stop],
-                    r,
-                    c,
-                    lens,
-                )
-            deviation[
-                positions[active], m_range.start + r, n_range.start + c
-            ] = state - g_tile[r, c]
-        elif dataflow is Dataflow.WEIGHT_STATIONARY:
-            # Mesh column c computes output column c of every tile; the
-            # fault row only positions the forcing within the chain.
-            active = cols < nt
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros((mt, len(c)), dtype=np.int64)
-            for k_range in plan.k_tiles:
-                state = ws_chain_tile(
-                    state,
-                    a_rows[:, k_range.start : k_range.stop],
-                    b_cols[k_range.start : k_range.stop],
-                    r,
-                    c,
-                    mesh_rows,
-                    lens,
-                )
-            delta = state - g_tile[:, c]
-            deviation[
-                positions[active][:, None],
-                np.arange(m_range.start, m_range.stop, dtype=np.int64)[None, :],
-                (n_range.start + c)[:, None],
-            ] = delta.T
-        elif dataflow is Dataflow.INPUT_STATIONARY:
-            # IS is WS on the transposed problem (as in the engines):
-            # mesh column c computes output *row* c of every tile.
-            active = cols < mt
-            if not active.any():
-                continue
-            r = rows[active]
-            c = cols[active]
-            state = np.zeros((nt, len(c)), dtype=np.int64)
-            for k_range in plan.k_tiles:
-                a_tile = a_rows[:, k_range.start : k_range.stop]
-                b_tile = b_cols[k_range.start : k_range.stop]
-                state = ws_chain_tile(
-                    state, b_tile.T, a_tile.T, r, c, mesh_rows, lens
-                )
-            delta = state - g_tile[c, :].T
-            deviation[
-                positions[active][:, None],
-                (m_range.start + c)[:, None],
-                np.arange(n_range.start, n_range.stop, dtype=np.int64)[None, :],
-            ] = delta.T
-        else:
-            raise ValueError(f"unsupported dataflow: {dataflow!r}")
+        shapes.setdefault((m_range.size, n_range.size), []).append(
+            (m_range.start, n_range.start)
+        )
+    for (mt, nt), starts in shapes.items():
+        active = (rows < mt) & (cols < nt)
+        if not active.any():
+            continue
+        # Pairs run site-major: each active site once per tile origin.
+        origin = np.tile(
+            np.array(starts, dtype=np.int64).T, np.count_nonzero(active)
+        )
+        pair_positions = np.repeat(positions[active], len(starts))
+        r = np.repeat(rows[active], len(starts))
+        c = np.repeat(cols[active], len(starts))
+        out_rows = r + origin[0]
+        out_cols = c + origin[1]
+        state = np.zeros(len(r), dtype=np.int64)
+        for k_range in plan.k_tiles:
+            state = os_chain_tile(
+                state,
+                a[:, k_range.start : k_range.stop],
+                b[k_range.start : k_range.stop],
+                out_rows,
+                out_cols,
+                lens,
+                skew=r + c,
+                tile_shape=(mt, nt),
+            )
+        deviation[pair_positions, out_rows, out_cols] = (
+            state - golden[out_rows, out_cols]
+        )

@@ -331,7 +331,9 @@ class JobManager:
         path = self.result_path(job)
         scratch = path.with_name(path.name + ".tmp")
         with scratch.open("w") as stream:
-            json.dump(campaign_result_record(result), stream)
+            # dumps, not dump: json.dump always takes the pure-Python
+            # encoder, dumps the C one.
+            stream.write(json.dumps(campaign_result_record(result)))
             stream.flush()
             os.fsync(stream.fileno())
         scratch.replace(path)

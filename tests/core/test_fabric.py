@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,9 @@ from repro.obs import MetricsRegistry, Observability
 from repro.systolic import Dataflow, MeshConfig
 
 from tests.core._support import assert_campaigns_equivalent
+
+#: The checkout these tests run from: subprocesses import its ``src/``.
+ROOT = Path(__file__).resolve().parents[2]
 
 MESH = MeshConfig(rows=4, cols=4)
 WORKLOAD = GemmWorkload.square(8, Dataflow.WEIGHT_STATIONARY)
@@ -142,7 +146,7 @@ def spawn_cli_worker(port: int, *extra: str) -> subprocess.Popen:
             *extra,
         ],
         env=env,
-        cwd="/root/repo",
+        cwd=ROOT,
         # DEVNULL, not PIPE: the worker's spawn-context pool children
         # inherit its stdio, so a pipe would stay open past the
         # worker's own death and wedge any EOF-waiting reader.
@@ -551,7 +555,7 @@ class TestCoordinatorShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path)],
             env=_driver_env(),
-            cwd="/root/repo",
+            cwd=ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -595,7 +599,7 @@ class TestCoordinatorShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path), str(port)],
             env=_driver_env(),
-            cwd="/root/repo",
+            cwd=ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

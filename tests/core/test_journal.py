@@ -261,8 +261,8 @@ class TestParentFixtures:
         assert_campaigns_equivalent(campaign.run(SerialExecutor()), rebuilt)
 
     # The archive and the fault dictionary fixtures hold the parent's
-    # dicts as one-line JSON (save_* only adds ``indent=2``): key order
-    # and values are what is compared.
+    # dicts as one-line JSON, as save_* writes them: key order and
+    # values are what is compared.
     def test_archive_matches_a_fresh_run(self):
         parent = (FIXTURES / "campaign.json").read_text()
         fresh = campaign_to_dict(fixture_campaign().run(SerialExecutor()))

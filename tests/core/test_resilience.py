@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,9 @@ from tests.core._support import (
     assert_campaigns_equivalent,
     assert_experiments_equal,
 )
+
+#: The checkout these tests run from: subprocesses import its ``src/``.
+ROOT = Path(__file__).resolve().parents[2]
 
 MESH = MeshConfig(rows=4, cols=4)
 WORKLOAD = GemmWorkload.square(8, Dataflow.WEIGHT_STATIONARY)
@@ -480,7 +484,7 @@ class TestGracefulShutdown:
         proc = subprocess.Popen(
             [sys.executable, str(driver), str(path)],
             env=env,
-            cwd="/root/repo",
+            cwd=ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

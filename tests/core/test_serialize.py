@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.core.campaign import Campaign, ConvWorkload, GemmWorkload
+from repro.core.campaign import Campaign, ConvWorkload, FillKind, GemmWorkload
 from repro.core.serialize import (
     SCHEMA_VERSION,
     campaign_to_dict,
+    experiment_from_record,
+    experiment_record,
     fault_dictionary,
     load_campaign,
     load_metrics,
@@ -86,6 +88,48 @@ class TestSaveLoad:
         path.write_text(json.dumps({"schema_version": 999}))
         with pytest.raises(ValueError):
             load_campaign(path)
+
+
+class TestArtefactFiles:
+    """The saved archive and fault dictionary hold exactly their dicts."""
+
+    @pytest.fixture(scope="class", params=["OS", "WS", "conv"])
+    def result(self, request):
+        workload = {
+            "OS": GemmWorkload(6, 5, 7, Dataflow.OUTPUT_STATIONARY, FillKind.RANDOM),
+            "WS": GemmWorkload(6, 5, 7, Dataflow.WEIGHT_STATIONARY, FillKind.RANDOM),
+            "conv": ConvWorkload.paper_kernel(6, (3, 3, 2, 5)),
+        }[request.param]
+        return Campaign(MESH, workload, engine="analytic").run()
+
+    def test_archive_file_round_trips(self, result, tmp_path):
+        path = save_campaign(result, tmp_path / "campaign.json")
+        assert json.loads(path.read_text()) == campaign_to_dict(result)
+        assert load_campaign(path) == campaign_to_dict(result)
+
+    def test_fault_dictionary_file_round_trips(self, result, tmp_path):
+        path = save_fault_dictionary(result, tmp_path / "dictionary.json")
+        assert json.loads(path.read_text()) == fault_dictionary(result)
+
+
+class TestExperimentRecordCells:
+    def test_cells_densify_to_the_same_pattern(self, ws_result):
+        experiment = ws_result.experiments[5]
+        record = json.loads(json.dumps(experiment_record(experiment)))
+        rebuilt = experiment_from_record(
+            record, shape=ws_result.golden.shape, plan=ws_result.plan
+        )
+        assert (rebuilt.pattern.deviation == experiment.pattern.deviation).all()
+        assert (rebuilt.pattern.mask == experiment.pattern.mask).all()
+
+    @pytest.mark.parametrize(
+        "cells", [[[1, 5]], [[1, 2, 3], [1, 2]], [[1, 2, 3.5]], [[0, 0, "x"]]]
+    )
+    def test_malformed_cells_are_refused(self, ws_result, cells):
+        record = experiment_record(ws_result.experiments[0])
+        record["cells"] = cells
+        with pytest.raises(ValueError):
+            experiment_from_record(record, shape=ws_result.golden.shape)
 
 
 class TestMetricsCodec:

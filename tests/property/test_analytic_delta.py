@@ -12,12 +12,16 @@ algebra's defining equations directly:
   delta (architectural masking);
 * every corrupted cell lies inside the dataflow's per-tile footprint
   (:func:`~repro.systolic.dataflow.site_tile_footprint`), which is the
-  paper's pattern-class geometry.
+  paper's pattern-class geometry;
+* a whole tiled campaign — several output-tile shapes and reduction
+  tiles, every site in one batch — equals the functional engine, for
+  each MAC signal.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +31,10 @@ from repro.faults.sites import MAC_SIGNALS, signal_dtype
 from repro.systolic import Dataflow, MeshConfig
 from repro.systolic.dataflow import site_tile_footprint
 
-from tests.core._support import assert_experiments_equal
+from tests.core._support import (
+    assert_campaigns_equivalent,
+    assert_experiments_equal,
+)
 
 MESH = MeshConfig(rows=5, cols=5)
 
@@ -189,3 +196,40 @@ def test_ws_row_position_independence(n, seed, col, row_a, row_b):
     first, second = campaign.run().experiments
     assert first.pattern_class is second.pattern_class
     assert np.array_equal(first.pattern.mask, second.pattern.mask)
+
+
+TILED_MESH = MeshConfig(rows=3, cols=3)
+
+
+@pytest.mark.parametrize("signal", MAC_SIGNALS)
+@settings(max_examples=50, deadline=None)
+@given(
+    m=st.sampled_from([4, 5, 7, 8]),
+    k=st.integers(min_value=4, max_value=8),
+    n=st.integers(min_value=2, max_value=8),
+    seed=seeds,
+    dataflow=dataflows,
+    data=st.data(),
+)
+def test_tiled_campaign_equals_functional(signal, m, k, n, seed, dataflow, data):
+    """Every site of a tiled GEMM in one batch, against the functional tier.
+
+    On the 3x3 mesh ``m`` always spans two or more row tiles with a
+    ragged last one, so output tiles come in at least two shapes, and
+    ``k >= 4`` chains at least two reduction tiles.
+    """
+    bit = data.draw(
+        st.integers(min_value=0, max_value=signal_dtype(signal).width - 1)
+    )
+    spec = FaultSpec(
+        signal=signal, bit=bit, stuck_value=data.draw(st.sampled_from([0, 1]))
+    )
+    workload = GemmWorkload(
+        m=m, k=k, n=n, dataflow=dataflow, fill=FillKind.RANDOM, seed=seed
+    )
+    analytic = Campaign(TILED_MESH, workload, fault_spec=spec, engine="analytic")
+    assert len({tile.size for tile in analytic.golden_run()[1].m_tiles}) == 2
+    functional = Campaign(
+        TILED_MESH, workload, fault_spec=spec, engine="functional"
+    )
+    assert_campaigns_equivalent(functional.run(), analytic.run())

@@ -21,6 +21,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 from repro.core.executor import SerialExecutor
 from repro.core.serialize import (
@@ -34,6 +35,9 @@ from tests.core._support import assert_campaigns_equivalent
 #: Cycle-accurate engine on a 10x10 mesh: a few seconds of real work —
 #: wide enough to land a SIGKILL mid-campaign, small enough to re-run
 #: the serial reference in-process.
+#: The checkout these tests run from: subprocesses import its ``src/``.
+ROOT = Path(__file__).resolve().parents[2]
+
 SLOW_SPEC = {
     "mesh": {"rows": 10, "cols": 10},
     "workload": {"op": "gemm", "m": 12, "k": 12, "n": 12},
@@ -59,7 +63,7 @@ def spawn_server(state_dir, *extra: str) -> tuple[subprocess.Popen, int]:
             *extra,
         ],
         env=env,
-        cwd="/root/repo",
+        cwd=ROOT,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,

@@ -26,6 +26,7 @@ from repro.core.executor import SerialExecutor
 from repro.core.fabric.worker import WorkerAgent
 from repro.core.serialize import (
     campaign_result_from_record,
+    campaign_result_record,
     decode_campaign_spec,
     read_job_registry,
 )
@@ -157,6 +158,16 @@ class TestSubmitToResult:
             assert last_progress["done"] == 16
 
             assert_result_identity(port, job["job_id"])
+
+    def test_stored_result_is_the_encoded_record(self, tmp_path):
+        """The result file holds exactly the compact JSON of the job's
+        result record, byte for byte."""
+        with running_service(tmp_path) as (service, port):
+            _, job = api(port, "POST", "/campaigns", SPEC)
+            stream_events(port, job["job_id"])
+            done = service.manager.get(job["job_id"])
+            stored = service.manager.result_path(done).read_text()
+            assert stored == json.dumps(campaign_result_record(done.result))
 
     def test_parallel_job_round_trip(self, tmp_path):
         spec = dict(SPEC, executor={"kind": "parallel", "jobs": 2})

@@ -115,18 +115,37 @@ def _tagged(members: tuple[type, ...]) -> _Decoder:
 
 def _sequence(items: tuple[_Decoder, ...] | _Decoder, build: type) -> _Decoder:
     """A JSON list decoded item by item — one decoder for every item, or a
-    fixed tuple of per-position decoders."""
+    fixed tuple of per-position decoders. Items are decoded under the
+    list's own path; only when one fails are they walked again under
+    ``where[i]`` to name it, so a valid list formats no item paths."""
     def decode_sequence(value: Any, where: str) -> Any:
         if not isinstance(value, list):
             raise _fail(where, "a list", value)
         decoders = items if isinstance(items, tuple) else [items] * len(value)
         if len(value) != len(decoders):
             raise SpecError(where, f"expected {len(decoders)} items, got {len(value)}")
-        return build([
-            dec(item, f"{where}[{i}]")
-            for i, (dec, item) in enumerate(zip(decoders, value))
-        ])
+        try:
+            return build([dec(item, where) for dec, item in zip(decoders, value)])
+        except SpecError:
+            for i, (dec, item) in enumerate(zip(decoders, value)):
+                dec(item, f"{where}[{i}]")
+            raise
     return decode_sequence
+
+
+def _plain_ints(count: int | None, build: type, decode_items: _Decoder) -> _Decoder:
+    """A list or tuple of unbounded ints (``count`` of them when fixed):
+    taken in one pass when every item is exactly an ``int``, else decoded
+    item by item, which also words any error."""
+    def decode_plain_ints(value: Any, where: str) -> Any:
+        if (
+            type(value) is list
+            and (count is None or len(value) == count)
+            and all(type(item) is int for item in value)
+        ):
+            return build(value)
+        return decode_items(value, where)
+    return decode_plain_ints
 
 
 def _converters(
@@ -151,6 +170,8 @@ def _converters(
         parts = [_converters(a, minimum, positive) for a in args[:None if fixed else 1]]
         items = tuple(d for d, _ in parts) if fixed else parts[0][0]
         decoder = _sequence(items, origin)
+        if minimum is None and not positive and set(args) - {Ellipsis} == {int}:
+            decoder = _plain_ints(len(args) if fixed else None, origin, decoder)
         item_encode = parts[0][1]
         if item_encode is None:
             return decoder, list

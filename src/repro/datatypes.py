@@ -199,20 +199,24 @@ UINT8 = IntType(width=8, signed=False, name="UINT8")
 
 
 # ----------------------------------------------------------------------
-# Vectorised counterparts (used by repro.systolic.functional)
+# Vectorised counterparts (used by the functional and analytic engines)
 # ----------------------------------------------------------------------
 def wrap_array(values: np.ndarray, dtype: IntType) -> np.ndarray:
     """Wrap an int64 array into ``dtype``'s range, returning int64.
 
     int64 is retained so that downstream arithmetic (which may itself wrap)
-    never overflows numpy's fixed-width types mid-expression.
+    never overflows numpy's fixed-width types mid-expression. Branchless:
+    a signed value is offset by half the range, masked and offset back,
+    which is exact for every int64 input (the offset may wrap int64, but
+    only bits above ``dtype.width`` are lost).
     """
     values = np.asarray(values, dtype=np.int64)
-    mask = np.int64(dtype.mask)
-    wrapped = values & mask
-    if dtype.signed:
-        sign = np.int64(1) << np.int64(dtype.width - 1)
-        wrapped = np.where(wrapped >= sign, wrapped - (np.int64(1) << np.int64(dtype.width)), wrapped)
+    if not dtype.signed:
+        return values & dtype.mask
+    half = 1 << (dtype.width - 1)
+    wrapped = values + half
+    wrapped &= dtype.mask
+    wrapped -= half
     return wrapped
 
 
@@ -223,17 +227,17 @@ def force_bit_array(
     dtype.check_bit(bit)
     if stuck_value not in (0, 1):
         raise ValueError(f"stuck_value must be 0 or 1, got {stuck_value}")
-    raw = np.asarray(values, dtype=np.int64) & np.int64(dtype.mask)
+    raw = np.asarray(values, dtype=np.int64) & dtype.mask
     if stuck_value:
-        raw = raw | (np.int64(1) << np.int64(bit))
+        raw |= 1 << bit
     else:
-        raw = raw & ~(np.int64(1) << np.int64(bit))
+        raw &= ~(1 << bit)
     return wrap_array(raw, dtype)
 
 
 def flip_bit_array(values: np.ndarray, bit: int, dtype: IntType) -> np.ndarray:
     """Vectorised :meth:`IntType.flip_bit` over an int64 array."""
     dtype.check_bit(bit)
-    raw = np.asarray(values, dtype=np.int64) & np.int64(dtype.mask)
-    raw = raw ^ (np.int64(1) << np.int64(bit))
+    raw = np.asarray(values, dtype=np.int64) & dtype.mask
+    raw ^= 1 << bit
     return wrap_array(raw, dtype)

@@ -11,9 +11,15 @@ by exploiting the same structural facts the paper's analysis exploits:
   element ``(r, c)``, whose value is a short sequential recurrence;
 * in the **WS** dataflow, a fault in PE ``(r, c)`` can only influence the
   outputs of physical column ``c``, whose values are per-row partial-sum
-  chains that vectorise over the output-row dimension.
+  chains that vectorise over the output-row dimension. Of that chain only
+  the faulty mesh rows are simulated one by one; each run of fault-free
+  rows between them is a single int64 mat-vec, wrapped once (wrap is a
+  ring homomorphism, so deferring it is exact — see
+  ``docs/analytic_engine.md``). The cost of a faulty tile scales with the
+  number of faulty rows, not with the mesh height.
 
-Everything else is the golden matmul, computed in one numpy expression.
+Everything else is the golden matmul, computed in one numpy expression and
+wrapped once.
 
 The equivalence ``FunctionalSimulator == CycleSimulator`` for every
 (operand, dataflow, fault) combination is enforced by property-based tests
@@ -153,8 +159,7 @@ class FunctionalSimulator:
                 f"bias shape {bias_arr.shape} does not match output ({m}, {n})"
             )
 
-        products = wrap_array(a @ b, self.config.acc_dtype)
-        out = wrap_array(products + bias_arr, self.config.acc_dtype)
+        out = wrap_array(a @ b + bias_arr, self.config.acc_dtype)
 
         if not self.injector.is_golden:
             if dataflow is Dataflow.OUTPUT_STATIONARY:
@@ -233,26 +238,38 @@ class FunctionalSimulator:
 
         In WS, the partial sum of output row ``m`` in column ``c`` traverses
         every mesh row ``i`` (stationary weight ``W[i, c]``, zero beyond the
-        weight tile) at cycle ``m + i + c``. The chain is recomputed
-        vectorised over ``m`` with faults applied at each traversed row.
+        weight tile) at cycle ``m + i + c``. Only the mesh rows of column
+        ``c`` that carry a fault are walked one by one, vectorised over
+        ``m``, with their operand, product and sum faults applied; each run
+        of fault-free rows between them is one int64 mat-vec
+        ``a[:, lo:hi] @ w[lo:hi, c]`` (rows at or beyond ``k`` add nothing).
+        The chain is wrapped at each faulty row's add, as the MAC wraps, and
+        once at the end. Wrap is a ring homomorphism from int64 onto the
+        accumulator, so the per-row wraps the segments skip change nothing.
         """
         m_dim, k = a.shape
         n = w.shape[1]
-        rows = self.config.rows
         in_t = self.config.input_dtype
         acc_t = self.config.acc_dtype
         m_index = np.arange(m_dim, dtype=np.int64)
-        # Hoisted out of the per-row chain: _apply_faults_vec never
-        # mutates its operand, so one shared zero column is safe.
+        # _apply_faults_vec never mutates its operand, so an operand may be
+        # a view of ``a`` or this one shared zero column.
         zero_col = np.zeros(m_dim, dtype=np.int64)
-        faulty_cols = sorted(
-            {f.site.col for f in self.injector.fault_set if f.site.col < n}
-        )
-        for c in faulty_cols:
+        faulty_rows: dict[int, set[int]] = {}
+        for fault in self.injector.fault_set:
+            site = fault.site
+            if site.col < n and site.row < self.config.rows:
+                faulty_rows.setdefault(site.col, set()).add(site.row)
+        for c in sorted(faulty_rows):
             psum = bias[:, c].copy()
-            for i in range(rows):
+            lo = 0
+            for i in sorted(faulty_rows[c]):
+                hi = min(i, k)
+                if lo < hi:
+                    psum += a[:, lo:hi] @ w[lo:hi, c]
+                lo = i + 1
                 cycles = m_index + i + c
-                av = a[:, i].copy() if i < k else zero_col
+                av = a[:, i] if i < k else zero_col
                 wv_arr = np.full(
                     m_dim, int(w[i, c]) if i < k else 0, dtype=np.int64
                 )
@@ -270,4 +287,6 @@ class FunctionalSimulator:
                 s_faults = self.injector.faults_at(i, c, SIGNAL_SUM)
                 if s_faults:
                     psum = _apply_faults_vec(s_faults, psum, acc_t, cycles)
-            out[:, c] = psum
+            if lo < k:
+                psum += a[:, lo:k] @ w[lo:k, c]
+            out[:, c] = wrap_array(psum, acc_t)

@@ -19,6 +19,7 @@ from repro.core.serialize import (
     save_fault_dictionary,
     save_metrics,
 )
+from repro.core.records import SpecError
 from repro.obs.metrics import MetricsRegistry
 from repro.systolic import Dataflow, MeshConfig
 
@@ -130,6 +131,49 @@ class TestExperimentRecordCells:
         record["cells"] = cells
         with pytest.raises(ValueError):
             experiment_from_record(record, shape=ws_result.golden.shape)
+
+
+class TestNestedDecodeErrors:
+    """A bad item deep in a record's tuple lists is named by its full path."""
+
+    @pytest.mark.parametrize(
+        "tiles, path, message",
+        [
+            (
+                [[0, 0], [0, 1], [1, 0], [1, "x"]],
+                "classification.corrupted_tiles[3][1]",
+                "expected an integer, got str",
+            ),
+            (
+                [[0, 0], [True, 1]],
+                "classification.corrupted_tiles[1][0]",
+                "expected an integer, got bool",
+            ),
+            (
+                [[0, 0], [0, 1], [2]],
+                "classification.corrupted_tiles[2]",
+                "expected 2 items, got 1",
+            ),
+            (
+                [[0, 0], 7],
+                "classification.corrupted_tiles[1]",
+                "expected a list, got int",
+            ),
+        ],
+    )
+    def test_bad_tile_is_named_by_its_path(self, ws_result, tiles, path, message):
+        record = experiment_record(ws_result.experiments[0])
+        record["classification"]["corrupted_tiles"] = tiles
+        with pytest.raises(SpecError) as caught:
+            experiment_from_record(record)
+        assert caught.value.path == path
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_valid_tiles_decode_to_tuples(self, ws_result):
+        record = experiment_record(ws_result.experiments[0])
+        record["classification"]["corrupted_tiles"] = [[0, 0], [1, 2]]
+        rebuilt = experiment_from_record(record)
+        assert rebuilt.classification.corrupted_tiles == ((0, 0), (1, 2))
 
 
 class TestMetricsCodec:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.datatypes import (
     INT8,
+    INT16,
     INT32,
+    UINT8,
     flip_bit_array,
     force_bit_array,
     wrap_array,
@@ -94,3 +96,41 @@ class TestVectorisedAgreement:
         array = np.array(values, dtype=np.int64)
         flipped = flip_bit_array(array, bit, INT8)
         assert flipped.tolist() == [INT8.flip_bit(v, bit) for v in values]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+int64s = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
+types = st.sampled_from([INT8, INT16, INT32, UINT8])
+
+
+def boundary_values(dtype):
+    """int64 extremes and the values around each ±2^(w-1) and 2^w edge."""
+    half, full = 1 << (dtype.width - 1), 1 << dtype.width
+    edges = [0, half, -half, full, -full, INT64_MIN, INT64_MAX]
+    return [v + d for v in edges for d in (-1, 0, 1) if INT64_MIN <= v + d <= INT64_MAX]
+
+
+class TestVectorisedExactness:
+    """The array helpers equal the scalar IntType operations for every int64
+    input, including those whose branchless offset wraps int64."""
+
+    @given(types, st.lists(int64s, max_size=30))
+    def test_wrap_array(self, dtype, randoms):
+        values = boundary_values(dtype) + randoms
+        wrapped = wrap_array(np.array(values, dtype=np.int64), dtype)
+        assert wrapped.dtype == np.int64
+        assert wrapped.tolist() == [dtype.wrap(v) for v in values]
+
+    @given(types, st.lists(int64s, max_size=30), st.data(), stuck)
+    def test_force_bit_array(self, dtype, randoms, data, stuck_value):
+        bit = data.draw(st.integers(min_value=0, max_value=dtype.width - 1))
+        values = boundary_values(dtype) + randoms
+        forced = force_bit_array(np.array(values, dtype=np.int64), bit, stuck_value, dtype)
+        assert forced.tolist() == [dtype.force_bit(v, bit, stuck_value) for v in values]
+
+    @given(types, st.lists(int64s, max_size=30), st.data())
+    def test_flip_bit_array(self, dtype, randoms, data):
+        bit = data.draw(st.integers(min_value=0, max_value=dtype.width - 1))
+        values = boundary_values(dtype) + randoms
+        flipped = flip_bit_array(np.array(values, dtype=np.int64), bit, dtype)
+        assert flipped.tolist() == [dtype.flip_bit(v, bit) for v in values]

@@ -37,10 +37,15 @@ def matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 @st.composite
-def fault_strategy(draw):
+def fault_strategy(draw, row=None, col=None):
     signal = draw(signals)
     bit = draw(st.integers(min_value=0, max_value=signal_dtype(signal).width - 1))
-    site = FaultSite(row=draw(coords), col=draw(coords), signal=signal, bit=bit)
+    site = FaultSite(
+        row=draw(coords) if row is None else row,
+        col=draw(coords) if col is None else col,
+        signal=signal,
+        bit=bit,
+    )
     kind = draw(st.sampled_from(["stuck", "transient", "window"]))
     if kind == "stuck":
         return StuckAtFault(site=site, stuck_value=draw(stuck))
@@ -127,6 +132,51 @@ def test_bias_path_equivalence(seed, dataflow, fault, bias_scale):
     b = rng.integers(-128, 128, size=(4, 4))
     bias = rng.integers(-bias_scale - 1, bias_scale + 1, size=(4, 4))
     injector = FaultInjector(FaultSet.of(fault))
+    cycle = CycleSimulator(MESH, injector).matmul(a, b, dataflow, bias=bias)
+    fast = FunctionalSimulator(MESH, injector).matmul(a, b, dataflow, bias=bias)
+    assert np.array_equal(cycle, fast)
+
+
+@st.composite
+def one_column_faults(draw, col: int):
+    """2-4 faults stacked in mesh column ``col`` on distinct rows, always
+    one on an edge row (0 or the last). With ``k`` below the mesh rows,
+    rows at or beyond ``k`` drive zero operands through the faulty MAC."""
+    last = MESH.rows - 1
+    edge = draw(st.sampled_from([0, last]))
+    others = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=last).filter(lambda r: r != edge),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return [draw(fault_strategy(row, col)) for row in [edge, *others]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=dims,
+    k=st.integers(min_value=1, max_value=MESH.rows - 1),
+    n=dims,
+    seed=st.integers(min_value=0, max_value=2**31),
+    dataflow=st.sampled_from(
+        [Dataflow.WEIGHT_STATIONARY, Dataflow.INPUT_STATIONARY]
+    ),
+)
+def test_stacked_column_faults_equivalence(data, m, k, n, seed, dataflow):
+    # The functional WS overlay walks only the faulty rows of a column and
+    # sums each fault-free run in one mat-vec; IS reaches it transposed.
+    width = n if dataflow is Dataflow.WEIGHT_STATIONARY else m
+    col = data.draw(st.integers(min_value=0, max_value=width - 1))
+    faults = data.draw(one_column_faults(col))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-128, 128, size=(m, k))
+    b = rng.integers(-128, 128, size=(k, n))
+    bias = rng.integers(-(2**31), 2**31, size=(m, n))
+    injector = FaultInjector(FaultSet.from_iterable(faults))
     cycle = CycleSimulator(MESH, injector).matmul(a, b, dataflow, bias=bias)
     fast = FunctionalSimulator(MESH, injector).matmul(a, b, dataflow, bias=bias)
     assert np.array_equal(cycle, fast)
